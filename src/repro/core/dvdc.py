@@ -448,11 +448,6 @@ class DisklessCheckpointer:
                 logical_bytes=full_logical if logical < full_logical else logical,
                 data=datas[i],
                 checksum=checksums[i],
-                member_checksums={
-                    img.vm_id: block_checksum(img.payload_flat())
-                    for img in member_images
-                    if isinstance(img.payload, np.ndarray)
-                },
             )
 
     # ------------------------------------------------------------------
@@ -566,14 +561,9 @@ class DisklessCheckpointer:
         for group, member_images, full_flats in pending:
             functional = len(full_flats) == len(member_images) and member_images
             shards: list[np.ndarray] | None = None
-            member_checksums: dict[int, int] = {}
             if functional:
                 flats = [full_flats[img.vm_id] for img in member_images]
                 shards = self.scheme.encode(flats)
-                member_checksums = {
-                    img.vm_id: block_checksum(full_flats[img.vm_id])
-                    for img in member_images
-                }
             logical = max(img.logical_bytes for img in member_images)
             full_logical = max(
                 self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
@@ -589,7 +579,6 @@ class DisklessCheckpointer:
                         logical_bytes=full_logical if logical < full_logical else logical,
                         data=data,
                         checksum=None if data is None else block_checksum(data),
-                        member_checksums=dict(member_checksums),
                     )
                 )
             staged[group.group_id] = blocks
@@ -679,12 +668,27 @@ class DisklessCheckpointer:
                 g = groups_by_id[group_id]
                 for node_id, blk in zip(g.parity_nodes, blocks):
                     self.cluster.node(node_id).store_parity(blk)
+        # every member is fingerprinted by the checksum its commit takes
+        # (of the merged full image for incremental epochs), so a rebuild
+        # can verify the bytes it restores whatever the epoch kind
+        member_checksums: dict[int, int] = {}
         for vm_id, image in staged_commits.items():
             vm = self.cluster.vm(vm_id)
             if vm.node_id is None:
                 continue
-            self.cluster.hypervisor(vm.node_id).commit_checkpoint(image)
+            hv = self.cluster.hypervisor(vm.node_id)
+            hv.commit_checkpoint(image)
             vm.epoch = epoch
+            checksum = hv.committed(vm_id).meta.get("checksum")
+            if checksum is not None:
+                member_checksums[vm_id] = checksum
+        for blocks in staged.values():
+            for blk in blocks if isinstance(blocks, list) else (blocks,):
+                blk.member_checksums = {
+                    v: member_checksums[v]
+                    for v in blk.member_vm_ids
+                    if v in member_checksums
+                }
         self.committed_epoch = epoch
         self.epoch += 1
         self.last_cycle_at = sim.now

@@ -9,14 +9,19 @@ Each test documents a failure mode that existed before the fix:
   with ``NetworkError``, inflating recovery accounting on aborted
   rebuild/re-encode passes;
 * ``_rebuild_member`` hand-rolled the survivor XOR fold instead of using
-  ``reconstruct_missing_padded`` (covered via heterogeneous groups).
+  ``reconstruct_missing_padded`` (covered via heterogeneous groups);
+* parity blocks written by an XOR *incremental* epoch carried no member
+  checksums, so a rebuild from a silently corrupt survivor restored
+  wrong bytes without raising.
 """
 
 import numpy as np
 import pytest
 
+from repro.checkpoint.strategies import ForkedCapture, IncrementalCapture
 from repro.cluster import ClusterSpec, VirtualCluster, VMState
 from repro.core import dvdc
+from repro.sim import Simulator
 
 from conftest import run_process
 
@@ -161,3 +166,67 @@ class TestRecoveryNetworkAccounting:
         # three groups x two remote survivors x 1 GB, plus restore
         # shipments for members rebuilt away from their parity node
         assert rep.network_bytes >= 6e9
+
+
+class TestIncrementalMemberChecksums:
+    """Every parity block fingerprints every member, whatever the epoch
+    kind: a rebuild from a silently corrupt survivor must fail its
+    end-to-end checksum instead of restoring wrong bytes."""
+
+    @pytest.mark.parametrize(
+        "scheme,strategy",
+        [
+            ("xor", IncrementalCapture),
+            ("xor", ForkedCapture),
+            ("rs-8-2", IncrementalCapture),
+        ],
+        ids=["xor-incremental", "xor-forked", "rs-8-2-incremental"],
+    )
+    def test_corrupt_survivor_fails_rebuild_checksum(self, scheme, strategy):
+        sim = Simulator()
+        cluster = VirtualCluster(sim, ClusterSpec(n_nodes=6))
+        rng = np.random.default_rng(5)
+        for vm in cluster.create_vms_balanced(12, 1e9, image_pages=16, page_size=64):
+            vm.image.write(0, rng.integers(0, 256, 1024, dtype=np.uint8))
+            vm.image.clear_dirty()
+        ck = dvdc(cluster, group_size=3, strategy=strategy(), scheme=scheme)
+        group = ck.layout.groups[0]
+        survivor, victim = group.member_vm_ids[:2]
+
+        def proc():
+            yield from ck.run_cycle()  # full epoch
+            for vm in cluster.all_vms:
+                vm.image.touch_pages(rng.integers(0, 16, 3), rng)
+            r = yield from ck.run_cycle()  # incremental under IncrementalCapture
+            assert r.committed
+            node = cluster.vm(survivor).node_id
+            cluster.hypervisor(node).committed(survivor).payload_flat()[0] ^= 0xFF
+            victim_node = cluster.vm(victim).node_id
+            cluster.kill_node(victim_node)
+            yield from ck.recover(victim_node)
+
+        with pytest.raises(RuntimeError, match="fails its end-to-end checksum"):
+            run_process(sim, proc())
+
+    def test_incremental_epoch_fingerprints_every_member(self):
+        sim = Simulator()
+        cluster = VirtualCluster(sim, ClusterSpec(n_nodes=6))
+        rng = np.random.default_rng(6)
+        for vm in cluster.create_vms_balanced(12, 1e9, image_pages=16, page_size=64):
+            vm.image.write(0, rng.integers(0, 256, 1024, dtype=np.uint8))
+            vm.image.clear_dirty()
+        ck = dvdc(cluster, group_size=3, strategy=IncrementalCapture())
+
+        def proc():
+            yield from ck.run_cycle()
+            for vm in cluster.all_vms:
+                vm.image.touch_pages(rng.integers(0, 16, 3), rng)
+            yield from ck.run_cycle()
+
+        run_process(sim, proc())
+        for g in ck.layout.groups:
+            block = cluster.node(g.parity_node).parity_store[g.group_id]
+            assert block.epoch == 1
+            for v in g.member_vm_ids:
+                img = cluster.hypervisor(cluster.vm(v).node_id).committed(v)
+                assert block.member_checksums[v] == img.meta["checksum"]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import format_bytes, render_table
 from repro.cluster import measure_xor_bandwidth
-from repro.core import RDPCode, XorCode
+from repro.coding import RDPCode, XorScheme
 
 MEMBERS = 3
 NBYTES = 1 << 20  # 1 MiB per member
@@ -24,7 +24,7 @@ def members():
 
 
 def test_xor_encode_throughput(benchmark, members):
-    code = XorCode()
+    code = XorScheme()
     [parity] = benchmark(code.encode, members)
     assert parity.shape[0] == NBYTES
 
@@ -36,7 +36,7 @@ def test_rdp_encode_throughput(benchmark, members):
 
 
 def test_xor_reconstruct_throughput(benchmark, members):
-    code = XorCode()
+    code = XorScheme()
     [parity] = code.encode(members)
     shards = [None, members[1], members[2]]
     out = benchmark(code.reconstruct, shards, [parity])
@@ -56,7 +56,7 @@ def test_parity_tradeoff_table(benchmark, report, members):
     """The space/tolerance trade-off the paper's design section weighs."""
 
     def build():
-        xor_parity = XorCode().encode(members)
+        xor_parity = XorScheme().encode(members)
         rdp_parity = RDPCode(MEMBERS).encode(members)
         return xor_parity, rdp_parity
 
@@ -101,14 +101,13 @@ def test_raw_xor_bandwidth_calibration(benchmark, report):
 def test_rdp_protocol_double_failure(benchmark, report):
     """ABL-RDP: the double-parity protocol surviving a simultaneous
     2-node crash end to end (the scenario XOR cannot)."""
-    from repro.core import DoubleParityCheckpointer, build_double_parity_layout
+    from repro.core import dvdc
 
     from conftest import functional_cluster, run_to_completion
 
     def scenario():
         sim, cluster = functional_cluster(6, 2, seed=9)
-        layout = build_double_parity_layout(cluster, group_size=3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = dvdc(cluster, group_size=3, scheme="rdp")
         run_to_completion(sim, ck.run_cycle())
         committed = {
             vm.vm_id: cluster.hypervisor(vm.node_id)
@@ -117,7 +116,7 @@ def test_rdp_protocol_double_failure(benchmark, report):
         }
         cluster.kill_node(0)
         cluster.kill_node(1)
-        rep = run_to_completion(sim, ck.recover(0, 1))
+        rep = run_to_completion(sim, ck.recover(0))
         ok = all(
             np.array_equal(cluster.vm(v).image.flat, committed[v])
             for v in committed

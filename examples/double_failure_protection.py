@@ -2,8 +2,9 @@
 """Double-failure protection with RDP — past the paper's XOR scheme.
 
 Section II-B2 notes that Wang et al. extended diskless checkpointing
-with Row-Diagonal Parity to tolerate two simultaneous failures.  This
-example runs that extension end to end on a 6-node cluster:
+with Row-Diagonal Parity to tolerate two simultaneous failures.  In this
+reproduction that extension is the same DVDC protocol with
+``scheme="rdp"``.  This example runs it end to end on a 6-node cluster:
 
 1. one RDP checkpoint epoch (each group's row AND diagonal parity land
    on two distinct non-member nodes);
@@ -19,11 +20,7 @@ import numpy as np
 
 from repro import ClusterSpec, VirtualCluster
 from repro.analysis import format_bytes, format_seconds, render_table
-from repro.core import (
-    DoubleParityCheckpointer,
-    build_double_parity_layout,
-    dvdc,
-)
+from repro.core import dvdc
 from repro.sim import Simulator
 
 GB = 1e9
@@ -41,14 +38,15 @@ def build_cluster(seed: int):
 
 def main() -> None:
     sim, cluster, rng = build_cluster(seed=11)
-    layout = build_double_parity_layout(cluster, group_size=3)
-    ck = DoubleParityCheckpointer(cluster, layout)
+    ck = dvdc(cluster, group_size=3, scheme="rdp")
+    layout = ck.layout
 
     print("RDP groups (members -> row parity node, diagonal parity node):")
     for g in layout.groups:
         nodes = [cluster.vm(v).node_id for v in g.member_vm_ids]
+        row, diag = g.parity_nodes
         print(f"  group {g.group_id}: VMs {list(g.member_vm_ids)} on nodes "
-              f"{nodes} -> row@{g.row_parity_node}, diag@{g.diag_parity_node}")
+              f"{nodes} -> row@{row}, diag@{diag}")
 
     out = {}
 
@@ -83,7 +81,7 @@ def main() -> None:
               f"{' — beyond XOR, within RDP' if losses == 2 else ''}")
 
     def recover():
-        out["rep"] = yield from ck.recover(1, 4)
+        out["rep"] = yield from ck.recover(1)
 
     sim.run_processes(recover())
     rep = out["rep"]

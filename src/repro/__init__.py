@@ -38,12 +38,11 @@ from .checkpoint import (
     RemusPair,
 )
 from .cluster import ClusterSpec, VirtualCluster
+from .coding import RDPCode, XorScheme
 from .core import (
     DisklessCheckpointer,
     GroupLayout,
     RaidGroup,
-    RDPCode,
-    XorCode,
     checkpoint_node,
     dvdc,
     first_shot,
@@ -90,7 +89,7 @@ __all__ = [
     "DisklessCheckpointer",
     "GroupLayout",
     "RaidGroup",
-    "XorCode",
+    "XorScheme",
     "RDPCode",
     "dvdc",
     "first_shot",

@@ -6,8 +6,9 @@ survivors + parity.  That claim decomposes into a handful of state
 invariants that must hold whenever the cluster is quiescent (no failure
 mid-flight, recovery drained):
 
-* **parity coherence** — every group's stored parity block equals the
-  padded XOR of its members' committed checkpoint payloads;
+* **parity coherence** — every group's stored parity shards equal the
+  coding scheme's encode of its members' committed checkpoint payloads
+  (the padded XOR under single parity);
 * **layout validity** — members of a group live on pairwise distinct
   nodes and the parity node hosts none of them (Fig. 2's orthogonality
   rules; may be *degraded* while a crashed node awaits repair);
@@ -17,7 +18,8 @@ mid-flight, recovery drained):
   observable (staged state never leaks past an abort);
 * **single-failure recoverability** — the constructive form of parity
   coherence: actually reconstruct each member from the others + parity
-  and compare bit-for-bit.
+  and compare bit-for-bit (every erasure pattern within tolerance for
+  multi-shard schemes).
 
 Checkers never raise on bad state; they return :class:`Violation`
 records so the fuzzer can aggregate and shrink.  States that are
@@ -34,8 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cluster.xorsum import reconstruct_missing_padded, xor_reduce_padded
-from ..coding import XorScheme, get_scheme, shard_key
+from ..coding import get_scheme, shard_key
 from ..core.placement import validate_layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,6 +105,11 @@ def _severity(strict: bool) -> str:
     return FATAL if strict else DEGRADED
 
 
+def _shard_name(j: int, coding) -> str:
+    """``parity`` under single parity, ``shard <j>`` otherwise."""
+    return "parity" if coding.n_shards == 1 else f"shard {j}"
+
+
 def check_parity_coherence(
     cluster: "VirtualCluster",
     layout: "GroupLayout",
@@ -111,27 +117,30 @@ def check_parity_coherence(
     scheme=None,
 ) -> list[Violation]:
     """Stored shards == the active scheme's encode of members' committed
-    payloads (padded XOR for the default :class:`~repro.coding.XorScheme`)."""
+    payloads (padded XOR under the default :class:`~repro.coding.XorScheme`)."""
     coding = get_scheme(scheme)
-    if not isinstance(coding, XorScheme):
-        return _check_shard_coherence(cluster, layout, strict, coding)
     out: list[Violation] = []
     for g in layout.groups:
         subject = f"group {g.group_id}"
-        pnode = cluster.node(g.parity_node)
-        if not pnode.alive:
-            out.append(Violation(
-                "parity-coherence", _severity(strict), subject,
-                f"parity node {g.parity_node} is down",
-            ))
-            continue
-        block = pnode.parity_store.get(g.group_id)
-        if block is None:
-            out.append(Violation(
-                "parity-coherence", _severity(strict), subject,
-                f"no parity block on node {g.parity_node}",
-            ))
-            continue
+        blocks: list[tuple[int, object]] = []
+        for j, pnode_id in enumerate(g.parity_nodes):
+            pnode = cluster.node(pnode_id)
+            if not pnode.alive:
+                out.append(Violation(
+                    "parity-coherence", _severity(strict), subject,
+                    f"{_shard_name(j, coding)} node {pnode_id} is down",
+                ))
+                continue
+            block = pnode.parity_store.get(shard_key(g.group_id, j))
+            if block is None:
+                out.append(Violation(
+                    "parity-coherence", _severity(strict), subject,
+                    f"no {_shard_name(j, coding)} block on node {pnode_id}",
+                ))
+                continue
+            blocks.append((j, block))
+        if not blocks:
+            continue  # no shard to audit the members against
         payloads = []
         auditable = True
         for v in g.member_vm_ids:
@@ -154,29 +163,26 @@ def check_parity_coherence(
             payloads.append(img.payload_flat() if img.payload is not None else None)
         if not auditable:
             continue
-        if block.data is None or any(p is None for p in payloads):
+        if any(p is None for p in payloads) or any(b.data is None for _, b in blocks):
             continue  # timing-only run: nothing functional to compare
-        expect = xor_reduce_padded(payloads)
-        got = block.data
-        if got.shape[0] < expect.shape[0]:
-            out.append(Violation(
-                "parity-coherence", FATAL, subject,
-                f"parity length {got.shape[0]} shorter than member XOR "
-                f"length {expect.shape[0]}",
-            ))
-            continue
-        if got.shape[0] > expect.shape[0] and got[expect.shape[0]:].any():
-            out.append(Violation(
-                "parity-coherence", FATAL, subject,
-                "nonzero parity bytes beyond the members' padded extent",
-            ))
-            continue
-        if not np.array_equal(got[: expect.shape[0]], expect):
-            nbad = int(np.count_nonzero(got[: expect.shape[0]] != expect))
-            out.append(Violation(
-                "parity-coherence", FATAL, subject,
-                f"parity differs from member XOR in {nbad} byte(s)",
-            ))
+        expect = coding.encode(payloads)
+        for j, block in blocks:
+            want, got = expect[j], block.data
+            name = _shard_name(j, coding)
+            if got.shape[0] != want.shape[0]:
+                out.append(Violation(
+                    "parity-coherence", FATAL, subject,
+                    f"{name} length {got.shape[0]} != encoded "
+                    f"length {want.shape[0]}",
+                ))
+                continue
+            if not np.array_equal(got, want):
+                nbad = int(np.count_nonzero(got != want))
+                out.append(Violation(
+                    "parity-coherence", FATAL, subject,
+                    f"{name} differs from {coding.name} encode "
+                    f"in {nbad} byte(s)",
+                ))
     return out
 
 
@@ -185,79 +191,23 @@ def check_parity_coherence(
 _MAX_ERASURE_PATTERNS = 1024
 
 
-def _check_shard_coherence(cluster, layout, strict, coding) -> list[Violation]:
-    """Multi-shard form of parity coherence: every stored shard equals the
-    corresponding row of ``coding.encode`` over the committed payloads."""
-    out: list[Violation] = []
-    for g in layout.groups:
-        subject = f"group {g.group_id}"
-        blocks: list[tuple[int, object]] = []
-        for j, pnode_id in enumerate(g.parity_nodes):
-            pnode = cluster.node(pnode_id)
-            if not pnode.alive:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"shard {j} home node {pnode_id} is down",
-                ))
-                continue
-            block = pnode.parity_store.get(shard_key(g.group_id, j))
-            if block is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"no shard {j} block on node {pnode_id}",
-                ))
-                continue
-            blocks.append((j, block))
-        payloads = []
-        auditable = True
-        for v in g.member_vm_ids:
-            vm = cluster.vm(v)
-            if vm.node_id is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"member vm {v} failed — group unauditable",
-                ))
-                auditable = False
-                break
-            img = cluster.hypervisor(vm.node_id).committed(v)
-            if img is None:
-                out.append(Violation(
-                    "parity-coherence", _severity(strict), subject,
-                    f"member vm {v} has no committed checkpoint",
-                ))
-                auditable = False
-                break
-            payloads.append(img.payload_flat() if img.payload is not None else None)
-        if not auditable or not blocks:
-            continue
-        if any(p is None for p in payloads) or any(b.data is None for _, b in blocks):
-            continue  # timing-only run: nothing functional to compare
-        expect = coding.encode(payloads)
-        for j, block in blocks:
-            want, got = expect[j], block.data
-            if got.shape[0] != want.shape[0]:
-                out.append(Violation(
-                    "parity-coherence", FATAL, subject,
-                    f"shard {j} length {got.shape[0]} != encoded "
-                    f"length {want.shape[0]}",
-                ))
-                continue
-            if not np.array_equal(got, want):
-                nbad = int(np.count_nonzero(got != want))
-                out.append(Violation(
-                    "parity-coherence", FATAL, subject,
-                    f"shard {j} differs from {coding.name} encode "
-                    f"in {nbad} byte(s)",
-                ))
-    return out
-
-
-def _check_erasures_recoverable(cluster, layout, strict, coding) -> list[Violation]:
-    """Constructive recoverability for every erasure pattern of size
-    <= ``coding.tolerance`` touching at least one member: decode and
-    compare the rebuilt members bit-exactly against committed payloads."""
+def check_single_failure_recoverable(
+    cluster: "VirtualCluster",
+    layout: "GroupLayout",
+    strict: bool = False,
+    scheme=None,
+) -> list[Violation]:
+    """Constructive recoverability: for every erasure pattern of size
+    <= the scheme's tolerance that touches a member, rebuild the lost
+    members from the rest (the actual recovery computation) and compare
+    them bit-exactly against their committed payloads.  Under single
+    parity that is each member rebuilt from the others + parity, and
+    findings are named ``single-failure-recoverable``; wider schemes
+    report ``erasure-recoverable``."""
+    coding = get_scheme(scheme)
     out: list[Violation] = []
     t, m = coding.tolerance, coding.n_shards
+    invariant = "single-failure-recoverable" if t == 1 else "erasure-recoverable"
     for g in layout.groups:
         k = len(g.member_vm_ids)
         shards: list[np.ndarray] = []
@@ -304,7 +254,7 @@ def _check_erasures_recoverable(cluster, layout, strict, coding) -> list[Violati
                 rebuilt = coding.reconstruct(mem, shd, nbytes=length)
             except Exception as exc:
                 out.append(Violation(
-                    "erasure-recoverable", FATAL, f"group {g.group_id}",
+                    invariant, FATAL, f"group {g.group_id}",
                     f"pattern {combo} within tolerance {t} failed to "
                     f"decode: {exc}",
                 ))
@@ -317,7 +267,7 @@ def _check_erasures_recoverable(cluster, layout, strict, coding) -> list[Violati
                 if not np.array_equal(got, want):
                     nbad = int(np.count_nonzero(got != want))
                     out.append(Violation(
-                        "erasure-recoverable", FATAL,
+                        invariant, FATAL,
                         f"vm {g.member_vm_ids[i]}",
                         f"pattern {combo}: rebuilt image differs from "
                         f"committed in {nbad} byte(s)",
@@ -434,60 +384,6 @@ def check_two_phase_atomicity(
                 f"vm epoch marker {vm.epoch} ahead of committed "
                 f"{committed_epoch}",
             ))
-    return out
-
-
-def check_single_failure_recoverable(
-    cluster: "VirtualCluster",
-    layout: "GroupLayout",
-    strict: bool = False,
-    scheme=None,
-) -> list[Violation]:
-    """Constructive recoverability: rebuild each member from the others
-    + parity (the actual recovery computation) and compare bit-exactly
-    against its committed payload.  For multi-shard schemes this widens
-    to every erasure pattern of size <= the scheme's tolerance."""
-    coding = get_scheme(scheme)
-    if not isinstance(coding, XorScheme):
-        return _check_erasures_recoverable(cluster, layout, strict, coding)
-    out: list[Violation] = []
-    for g in layout.groups:
-        pnode = cluster.node(g.parity_node)
-        block = pnode.parity_store.get(g.group_id) if pnode.alive else None
-        if block is None or block.data is None:
-            continue  # availability handled by parity-coherence
-        images = {}
-        for v in g.member_vm_ids:
-            vm = cluster.vm(v)
-            img = (
-                cluster.hypervisor(vm.node_id).committed(v)
-                if vm.node_id is not None
-                else None
-            )
-            if img is None or img.payload is None:
-                images = None
-                break
-            images[v] = img.payload_flat()
-        if images is None:
-            continue  # unauditable; parity-coherence already flagged it
-        for v in g.member_vm_ids:
-            survivors = [p for w, p in images.items() if w != v]
-            try:
-                rebuilt = reconstruct_missing_padded(
-                    survivors, block.data, images[v].shape[0]
-                )
-            except ValueError as exc:
-                out.append(Violation(
-                    "single-failure-recoverable", FATAL, f"vm {v}",
-                    f"reconstruction impossible: {exc}",
-                ))
-                continue
-            if not np.array_equal(rebuilt, images[v]):
-                nbad = int(np.count_nonzero(rebuilt != images[v]))
-                out.append(Violation(
-                    "single-failure-recoverable", FATAL, f"vm {v}",
-                    f"rebuilt image differs from committed in {nbad} byte(s)",
-                ))
     return out
 
 

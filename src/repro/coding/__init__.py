@@ -17,6 +17,7 @@ from .gf256 import (
     gf_mul,
     gf_mul_vec,
 )
+from .rdp import ParityCodeError, RDPCode, smallest_prime_at_least
 from .schemes import (
     CodingScheme,
     ReedSolomonScheme,
@@ -41,6 +42,9 @@ __all__ = [
     "gf_matmul",
     "gf_mul",
     "gf_mul_vec",
+    "ParityCodeError",
+    "RDPCode",
+    "smallest_prime_at_least",
     "CodingScheme",
     "ReedSolomonScheme",
     "ReplicationScheme",

@@ -18,10 +18,12 @@ name       shards m  tolerance  storage overhead  exchange traffic
 ``rep-n``  n−1       n−1        (n−1)·k/k         (n−1)×
 ========== ========= ========== ================= =================
 
-All four are linear over GF(2) — ``encode(a ⊕ b) == encode(a) ⊕
-encode(b)`` for fixed member count and coding length — which is what
-lets the incremental small-write fold generalize: XOR the encode of the
-*deltas* into the previous shards.
+Every scheme encodes many groups at once through
+:meth:`CodingScheme.encode_groups`; a scheme whose
+:attr:`~CodingScheme.folds_deltas` is set also folds an incremental
+epoch's sparse page deltas into its previous shards
+(:meth:`CodingScheme.fold_groups`) — XOR does, with stacked
+whole-cluster kernels.  Schemes that cannot fold are handed full images.
 
 Buffers may have heterogeneous lengths; ``encode`` zero-pads to the
 longest member (the padded-XOR convention the stack already uses) and
@@ -38,20 +40,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cluster.xorsum import as_u8, reconstruct_missing_padded, xor_reduce_padded
+from ..cluster.bufpool import GLOBAL_POOL
+from ..cluster.checksum import block_checksum, block_checksums_rows
+from ..cluster.memory import PageDelta
+from ..cluster.xorsum import (
+    as_u8,
+    reconstruct_missing_padded,
+    xor_fold_groups,
+    xor_reduce_groups,
+    xor_reduce_padded,
+)
 from .gf256 import MUL_TABLE, cauchy_matrix, gf_matinv
-
-
-def _coding_error() -> "type[RuntimeError]":
-    """:class:`repro.core.parity.ParityCodeError`, imported lazily.
-
-    ``repro.core``'s package init imports :mod:`repro.core.dvdc`, which
-    needs this package — a top-level import here would make the import
-    graph order-dependent.  Deferring to call time breaks the cycle.
-    """
-    from ..core.parity import ParityCodeError
-
-    return ParityCodeError
+from .rdp import ParityCodeError, RDPCode
 
 __all__ = [
     "CodingScheme",
@@ -73,10 +73,9 @@ MAX_SHARDS = 16
 def shard_key(group_id: int, shard_index: int) -> int:
     """Parity-store key for shard ``shard_index`` of group ``group_id``.
 
-    Shard 0 keeps the plain group id — bit-compatible with every
-    existing single-parity code path.  Higher shards use negative keys
-    (the convention ``core.double_parity`` introduced for its diagonal
-    shard) packed so keys are unique across ``(group, shard)`` pairs.
+    Shard 0 keeps the plain group id, so single-parity (XOR) stores are
+    keyed by group id alone.  Higher shards use negative keys packed so
+    keys are unique across ``(group, shard)`` pairs.
     """
     if not 0 <= shard_index < MAX_SHARDS:
         raise ValueError(f"shard index {shard_index} out of range")
@@ -92,11 +91,11 @@ def _pad_members(
     ``length`` when the caller pins it)."""
     bufs = [as_u8(m) for m in members]
     if not bufs:
-        raise _coding_error()("empty member list")
+        raise ParityCodeError("empty member list")
     n = max(b.shape[0] for b in bufs)
     if length is not None:
         if length < n:
-            raise _coding_error()(f"coding length {length} < longest member {n}")
+            raise ParityCodeError(f"coding length {length} < longest member {n}")
         n = length
     out = []
     for b in bufs:
@@ -122,19 +121,45 @@ class CodingScheme:
     tolerance:
         Maximum simultaneous erasures (members + shards) the scheme
         repairs.
-    linear:
-        True when ``encode`` is GF(2)-linear at fixed ``(k, length)``,
-        enabling the incremental delta fold.
+    folds_deltas:
+        True when the scheme implements :meth:`fold_groups`: an
+        incremental epoch then ships sparse ``old ⊕ new`` page deltas
+        and folds them into the previous shards instead of re-encoding
+        materialized full images.
     """
 
     name: str = "abstract"
     n_shards: int = 0
     tolerance: int = 0
-    linear: bool = True
+    folds_deltas: bool = False
 
     def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
         """Members (any lengths, zero-pad semantics) → ``m`` shards."""
         raise NotImplementedError
+
+    def encode_groups(
+        self, groups: Sequence[Sequence[np.ndarray]]
+    ) -> list[tuple[list[np.ndarray], list[int]]]:
+        """Encode many groups at once: per group (input order), its
+        ``m`` shards and their :func:`~repro.cluster.checksum.block_checksum`.
+        Schemes override this to batch the work across groups."""
+        out = []
+        for members in groups:
+            shards = self.encode(members)
+            out.append((shards, [block_checksum(s) for s in shards]))
+        return out
+
+    def fold_groups(
+        self,
+        prev: Sequence[Sequence[np.ndarray]],
+        deltas: Sequence[Sequence[PageDelta]],
+    ) -> list[tuple[list[np.ndarray], list[int]]]:
+        """Fold incremental epochs into previous shards (only when
+        :attr:`folds_deltas`): per group, ``prev`` holds its previous
+        shard bytes and ``deltas`` each member's ``old ⊕ new`` dirty
+        pages.  Returns new shards + checksums like :meth:`encode_groups`;
+        the inputs are not mutated."""
+        raise NotImplementedError(f"{self.name} does not fold page deltas")
 
     def reconstruct(
         self,
@@ -184,19 +209,77 @@ def _missing_count(
 
 
 class XorScheme(CodingScheme):
-    """Single-parity XOR (the paper's RAID-4/5 analogue), as a scheme.
+    """Single-parity XOR (the paper's RAID-4/5 analogue): the ``m = 1``
+    case of the one protocol path.
 
-    Delegates to the exact :mod:`repro.cluster.xorsum` kernels the
-    checkpointer always used, so parity bytes are bit-identical to the
-    pre-scheme code path (the golden ``scale64.json`` digests prove it).
+    Runs on the :mod:`repro.cluster.xorsum` kernels (the golden
+    ``scale64.json`` digests pin its bytes), batches the commit-time
+    encode across groups, and is the scheme that folds incremental page
+    deltas — the RAID small-write update.
     """
 
     name = "xor"
     n_shards = 1
     tolerance = 1
+    folds_deltas = True
 
     def encode(self, members: Sequence[np.ndarray | bytes]) -> list[np.ndarray]:
+        if not members:
+            raise ParityCodeError("empty member list")
         return [xor_reduce_padded(members)]
+
+    def encode_groups(
+        self, groups: Sequence[Sequence[np.ndarray]]
+    ) -> list[tuple[list[np.ndarray], list[int]]]:
+        """Groups are partitioned by shape signature and each partition
+        encoded by one stacked kernel (:func:`xor_reduce_groups`,
+        :func:`block_checksums_rows`) — a handful of whole-cluster numpy
+        calls instead of O(groups) small ones.  Groups with unequal
+        member sizes take the padded scalar reduce."""
+        out: list = [None] * len(groups)
+        batches: dict[tuple[int, int], list[int]] = {}
+        for i, flats in enumerate(groups):
+            lengths = {f.shape[0] for f in flats}
+            if len(lengths) == 1:
+                batches.setdefault((len(flats), lengths.pop()), []).append(i)
+            else:
+                data = xor_reduce_padded(
+                    flats, out=GLOBAL_POOL.acquire(max(f.shape[0] for f in flats))
+                )
+                out[i] = ([data], [block_checksum(data)])
+        for idxs in batches.values():
+            stacked = xor_reduce_groups([groups[i] for i in idxs])
+            for row, (i, checksum) in enumerate(
+                zip(idxs, block_checksums_rows(stacked))
+            ):
+                out[i] = ([stacked[row]], [checksum])
+        return out
+
+    def fold_groups(
+        self,
+        prev: Sequence[Sequence[np.ndarray]],
+        deltas: Sequence[Sequence[PageDelta]],
+    ) -> list[tuple[list[np.ndarray], list[int]]]:
+        """The RAID small-write update, batched: groups are partitioned
+        by page geometry and each partition folded by one
+        :func:`xor_fold_groups` call."""
+        out: list = [None] * len(prev)
+        batches: dict[tuple[int, int], list[int]] = {}
+        for i, group_deltas in enumerate(deltas):
+            d0 = group_deltas[0]
+            batches.setdefault((d0.n_pages_total, d0.page_size), []).append(i)
+        for (n_pages_total, page_size), idxs in batches.items():
+            stacked = xor_fold_groups(
+                [prev[i][0] for i in idxs],
+                [[(d.indices, d.pages) for d in deltas[i]] for i in idxs],
+                n_pages_total,
+                page_size,
+            )
+            for row, (i, checksum) in enumerate(
+                zip(idxs, block_checksums_rows(stacked))
+            ):
+                out[i] = ([stacked[row]], [checksum])
+        return out
 
     def reconstruct(
         self,
@@ -206,14 +289,14 @@ class XorScheme(CodingScheme):
     ) -> list[np.ndarray]:
         lost, lost_shards = _missing_count(members, shards)
         if len(lost) + lost_shards > self.tolerance:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"xor tolerates 1 erasure, {len(lost) + lost_shards} lost"
             )
         if not lost:
             return [as_u8(m).copy() for m in members]  # type: ignore[arg-type]
         parity = shards[0]
         if parity is None:
-            raise _coding_error()("cannot rebuild a member without the parity shard")
+            raise ParityCodeError("cannot rebuild a member without the parity shard")
         parity = as_u8(parity)
         survivors = [as_u8(m) for m in members if m is not None]
         rebuilt = reconstruct_missing_padded(survivors, parity, parity.shape[0])
@@ -229,9 +312,8 @@ class XorScheme(CodingScheme):
 class RDPScheme(CodingScheme):
     """Row-Diagonal Parity re-expressed on the scheme interface.
 
-    Wraps :class:`repro.core.parity.RDPCode` (one cached codec per
-    member count), so shard bytes are identical to the standalone
-    double-parity checkpointer's.
+    Wraps :class:`repro.coding.rdp.RDPCode` (one cached codec per
+    member count).
     """
 
     name = "rdp"
@@ -244,8 +326,6 @@ class RDPScheme(CodingScheme):
     def _code(self, k: int) -> RDPCode:
         code = self._codes.get(k)
         if code is None:
-            from ..core.parity import RDPCode  # lazy: avoids import cycle
-
             code = self._codes[k] = RDPCode(k)
         return code
 
@@ -338,7 +418,7 @@ class ReedSolomonScheme(CodingScheme):
         k = len(members)
         lost, lost_shards = _missing_count(members, shards)
         if len(lost) + lost_shards > self.tolerance:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name} tolerates {self.tolerance} erasures, "
                 f"{len(lost) + lost_shards} lost"
             )
@@ -350,7 +430,7 @@ class ReedSolomonScheme(CodingScheme):
                 length = as_u8(s).shape[0]
                 break
         if length is None:
-            raise _coding_error()("no surviving shard; pass nbytes")
+            raise ParityCodeError("no surviving shard; pass nbytes")
         cmat = self._matrix(k)
         # Generator rows: identity for members, Cauchy rows for shards.
         # Pick k surviving rows, invert, solve for the data vector.
@@ -367,7 +447,7 @@ class ReedSolomonScheme(CodingScheme):
                 rows.append(cmat[i])
                 rhs.append(as_u8(s))
         if len(rows) < k:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name}: only {len(rows)} survivors for {k} unknowns"
             )
         inv = gf_matinv(np.stack(rows[:k]))
@@ -424,12 +504,12 @@ class ReplicationScheme(CodingScheme):
             return [as_u8(m).copy() for m in members]  # type: ignore[arg-type]
         source = next((s for s in shards if s is not None), None)
         if source is None:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name}: members lost and no replica shard survives"
             )
         flat = as_u8(source)
         if flat.shape[0] % k:
-            raise _coding_error()(
+            raise ParityCodeError(
                 f"{self.name}: replica length {flat.shape[0]} not divisible by k={k}"
             )
         length = flat.shape[0] // k

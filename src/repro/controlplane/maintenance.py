@@ -14,9 +14,9 @@ windows**:
    equation can be audited against the image at the VM's current home;
 3. functional images are checksum-verified: the post-migration payload
    must equal the pre-migration fingerprint bit-for-bit;
-4. parity blocks homed on the draining node are re-encoded onto fresh
+4. parity shards homed on the draining node are re-encoded onto fresh
    nodes via the protocol's own
-   :meth:`~repro.core.dvdc.DisklessCheckpointer._reencode_parity`,
+   :meth:`~repro.core.dvdc.DisklessCheckpointer._reencode_shards`,
    which keeps the old block until the new one is stored;
 5. the empty node is cleanly deactivated, maintained, and rejoined.
 
@@ -162,7 +162,8 @@ def drain_node(cp, node_id: int) -> dict:
         attempts = cp.config.drain_retries + 1
         for attempt in range(attempts):
             report = DisklessRecoveryReport(failed_node=node_id)
-            yield from cp.ck._reencode_parity(group, report)
+            slots = [j for j, h in enumerate(group.parity_nodes) if h == node_id]
+            yield from cp.ck._reencode_shards(group, report, slots)
             if group.group_id in report.reencoded_groups:
                 break
             if attempt == attempts - 1:

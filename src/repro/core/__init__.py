@@ -1,13 +1,8 @@
-"""The paper's contribution: DVDC — parity codes, orthogonal RAID
-groups over VMs, the diskless checkpoint protocol, and recovery."""
+"""The paper's contribution: DVDC — orthogonal RAID groups over VMs, the
+diskless checkpoint protocol, and recovery.  The parity codes live in
+:mod:`repro.coding`."""
 
 from .architectures import checkpoint_node, dvdc, first_shot
-from .double_parity import (
-    DoubleParityCheckpointer,
-    DoubleParityGroup,
-    DoubleParityLayout,
-    build_double_parity_layout,
-)
 from .dvdc import DEFAULT_XOR_BANDWIDTH, DisklessCheckpointer, DisklessCycleResult
 from .groups import (
     GroupLayout,
@@ -18,7 +13,6 @@ from .groups import (
     layout_dvdc,
     layout_firstshot,
 )
-from .parity import ParityCodeError, RDPCode, XorCode, smallest_prime_at_least
 from .placement import (
     LayoutReport,
     group_losses_if_node_fails,
@@ -34,10 +28,6 @@ from .recovery import (
 )
 
 __all__ = [
-    "XorCode",
-    "RDPCode",
-    "ParityCodeError",
-    "smallest_prime_at_least",
     "RaidGroup",
     "GroupLayout",
     "LayoutError",
@@ -60,8 +50,4 @@ __all__ = [
     "first_shot",
     "checkpoint_node",
     "dvdc",
-    "DoubleParityGroup",
-    "DoubleParityLayout",
-    "build_double_parity_layout",
-    "DoubleParityCheckpointer",
 ]

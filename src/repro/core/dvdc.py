@@ -8,35 +8,43 @@ different parity placements (that observation is the paper's own
 narrative arc).  Convenience constructors for the three architectures
 live in :mod:`repro.core.architectures`.
 
+There is one protocol path for every erasure-coding scheme
+(:mod:`repro.coding`): each group stores ``m`` parity shards on ``m``
+distinct nodes that host none of its members.  The paper's XOR single
+parity is the ``m = 1`` case (the default); Section II-B2's RDP double
+parity is ``scheme="rdp"``, and Reed–Solomon / replication plug in the
+same way.
+
 Checkpoint cycle (one epoch):
 
 1. **capture** — coordinated barrier pause (strategy-dependent cost);
-2. **exchange** — each member streams its (compressed) capture to its
-   group's parity node.  Under the Fig. 4 layout these flows ride
-   disjoint NIC pairs and proceed in parallel; under Figs. 1/3 they
-   fan into one node and serialize — the architectural contrast the
-   model quantifies;
-3. **parity** — the parity node XORs the member data into a *staged*
-   parity block (one XOR engine per node: concurrent groups with parity
-   on the same node serialize, distributed parity parallelizes —
-   Section IV-B's "relieve the CPU burden by a factor linear in the
-   amount of machines");
-4. **commit** — two-phase: staged parity blocks and captured member
+2. **exchange** — each member streams its (compressed) capture to each
+   of its group's shard homes.  Under the Fig. 4 layout these flows
+   ride disjoint NIC pairs and proceed in parallel; under Figs. 1/3
+   they fan into one node and serialize — the architectural contrast
+   the model quantifies;
+3. **parity** — each shard home charges its encode engine for the
+   member data (one engine per node: concurrent groups with parity on
+   the same node serialize, distributed parity parallelizes — Section
+   IV-B's "relieve the CPU burden by a factor linear in the amount of
+   machines");
+4. **commit** — two-phase: the staged shards and captured member
    images replace the previous epoch everywhere, atomically at the
    commit timestamp.  Until then the previous epoch remains fully
    recoverable.
 
-Incremental epochs move only dirty data: members ship the XOR-delta
-``old ⊕ new`` of their dirty pages and the parity node folds it into
-the staged copy of the previous parity — the RAID-5 small-write
-optimization applied to checkpoints.
+Incremental epochs move only dirty data.  A scheme that can fold page
+deltas (:attr:`~repro.coding.CodingScheme.folds_deltas` — XOR) has
+members ship the delta ``old ⊕ new`` of their dirty pages and folds it
+into the previous shards: the RAID-5 small-write optimization applied
+to checkpoints.  Other schemes materialize full images (committed base
++ dirty pages) and re-encode.
 
 Recovery (after a node crash): every surviving VM rolls back to its
 local in-memory checkpoint (a memory copy — no disk, no network); each
-group that lost a member rebuilds it from survivors + parity at the
-parity node and ships the image to a replacement node; groups that lost
-their parity block re-encode onto a new node.  See
-:class:`~repro.core.recovery.DisklessRecoveryReport`.
+group that lost members rebuilds them from survivors + shards and ships
+the images to replacement nodes; shards whose home died are re-encoded
+onto new nodes.  See :class:`~repro.core.recovery.DisklessRecoveryReport`.
 """
 
 from __future__ import annotations
@@ -50,23 +58,27 @@ from ..checkpoint.compression import NO_COMPRESSION, CompressionModel
 from ..checkpoint.coordinator import CoordinatedCheckpoint
 from ..checkpoint.strategies import ForkedCapture
 from ..cluster.bufpool import GLOBAL_POOL
-from ..cluster.checksum import block_checksum, block_checksums_rows
+from ..cluster.checksum import block_checksum
 from ..cluster.cluster import VirtualCluster
 from ..cluster.images import CheckpointImage, CheckpointKind, ParityBlock
 from ..cluster.memory import PageDelta, recycle_delta
 from ..cluster.vm import VMState
-from ..cluster.xorsum import (
-    reconstruct_missing_padded,
-    xor_fold_groups,
-    xor_reduce_groups,
-    xor_reduce_padded,
-)
-from ..coding import CodingScheme, XorScheme, get_scheme, shard_key
+from ..coding import CodingScheme, get_scheme, shard_key
 from ..network.link import NetworkError
 from ..sim import AllOf, NULL_TRACER, Resource, Tracer
 from ..telemetry import probe_of
 from .groups import GroupLayout, RaidGroup
 from .recovery import DisklessRecoveryReport, choose_parity_node, choose_restore_node
+
+# The XOR kernels now run inside repro.coding.XorScheme; perfbench's
+# layer tracer still looks them up under this module's names.
+from ..cluster.checksum import block_checksums_rows  # noqa: F401
+from ..cluster.xorsum import (  # noqa: F401
+    reconstruct_missing_padded,
+    xor_fold_groups,
+    xor_reduce_groups,
+    xor_reduce_padded,
+)
 
 __all__ = ["DisklessCheckpointer", "DisklessCycleResult", "DEFAULT_XOR_BANDWIDTH"]
 
@@ -93,6 +105,24 @@ class DisklessCycleResult(CheckpointCycleResult):
         return sum(self.xor_seconds_by_node.values())
 
 
+@dataclass
+class _PendingEncode:
+    """One group's exchange, registered for the commit-time encode."""
+
+    group: RaidGroup
+    member_images: list[CheckpointImage]
+    #: vm_id -> flat full image, or the ``old ⊕ new`` page delta a
+    #: folding scheme folds into ``prev``
+    payloads: dict
+    #: the group's previous shard blocks when this epoch folds deltas
+    prev: list[ParityBlock] | None = None
+
+    @property
+    def functional(self) -> bool:
+        """Every member carries bytes (not a timing-only capture)."""
+        return len(self.payloads) == len(self.member_images)
+
+
 class DisklessCheckpointer:
     """Diskless checkpoint/recovery over a group layout."""
 
@@ -115,12 +145,8 @@ class DisklessCheckpointer:
         self.cluster = cluster
         self.layout = layout
         #: the erasure-coding scheme protecting every group (default: the
-        #: paper's single-parity XOR).  When it is XOR, every hot path
-        #: below runs the historical single-shard code verbatim — the
-        #: golden scale64 digests pin that bit-for-bit; other schemes
-        #: take the generalized m-shard branches.
+        #: paper's single-parity XOR, the m = 1 case of the one path)
         self.scheme = get_scheme(scheme)
-        self._is_xor = isinstance(self.scheme, XorScheme)
         self.strategy = strategy or ForkedCapture()
         self.compression = compression
         self.xor_bandwidth = xor_bandwidth
@@ -194,17 +220,25 @@ class DisklessCheckpointer:
             label=label,
         ))
 
+    def _charge_engine(self, node_id: int, nbytes: float):
+        """Process step: occupy ``node_id``'s encode engine for ``nbytes``
+        (engines serialize the coding work of groups sharing a node)."""
+        engine = self._xor_engines[node_id]
+        req = engine.request()
+        yield req
+        try:
+            seconds = nbytes / self.xor_bandwidth
+            if seconds > 0:
+                yield self.cluster.sim.timeout(seconds)
+        finally:
+            engine.release()
+
     # ------------------------------------------------------------------
     # checkpoint cycle
     # ------------------------------------------------------------------
-    def _xor_delta_payload(
-        self, old: CheckpointImage, new: CheckpointImage
-    ) -> PageDelta | None:
-        """For functional incremental captures: pages of ``old ⊕ new``
-        restricted to the dirty set (what actually crosses the wire)."""
-        if not isinstance(new.payload, PageDelta):
-            return None
-        delta: PageDelta = new.payload
+    def _xor_delta_payload(self, old: CheckpointImage, delta: PageDelta) -> PageDelta:
+        """Pages of ``old ⊕ new`` restricted to the dirty set (what a
+        folding scheme ships and folds into its previous shards)."""
         old_pages = old.payload_flat().reshape(
             delta.n_pages_total, delta.page_size
         )
@@ -220,62 +254,119 @@ class DisklessCheckpointer:
             pages=xored,
         )
 
+    @staticmethod
+    def _materialize(old: CheckpointImage, delta: PageDelta) -> np.ndarray:
+        """The full image an incremental capture describes: committed
+        base patched with the dirty pages."""
+        pages = old.payload_flat().copy().reshape(delta.n_pages_total, delta.page_size)
+        pages[delta.indices] = delta.pages
+        return pages.reshape(-1)
+
+    def _previous_shards(
+        self, group: RaidGroup, pending: _PendingEncode, result: DisklessCycleResult
+    ) -> list[ParityBlock] | None:
+        """The shard blocks an incremental epoch folds into, validated;
+        None when a shard home died (the group fails, the epoch aborts)."""
+        if any(not self.cluster.node(n).alive for n in group.parity_nodes):
+            # died between the exchange's aliveness check and the fold
+            result.failed_groups.append(group.group_id)
+            return None
+        prev = []
+        for j, node_id in enumerate(group.parity_nodes):
+            blk = self.cluster.node(node_id).parity_store.get(
+                shard_key(group.group_id, j)
+            )
+            if blk is None or blk.data is None:
+                raise RuntimeError(
+                    f"group {group.group_id}: incremental parity update "
+                    "without a previous parity block"
+                )
+            if blk.checksum is not None and block_checksum(blk.data) != blk.checksum:
+                # folding a delta into rotten parity would produce a
+                # self-consistently-checksummed wrong block — refuse
+                raise RuntimeError(
+                    f"group {group.group_id}: previous parity block fails "
+                    "its checksum — silent corruption; scrub or run a "
+                    "full epoch before folding increments"
+                )
+            prev.append(blk)
+        for img in pending.member_images:
+            if img.kind != CheckpointKind.INCREMENTAL:
+                # a full capture mixed in (e.g. post-recovery)
+                raise RuntimeError(
+                    "mixed full/incremental captures within one group "
+                    "epoch are not supported; run a full epoch first"
+                )
+            xd = pending.payloads[img.vm_id]
+            if any(b.data.shape[0] != xd.n_pages_total * xd.page_size for b in prev):
+                raise RuntimeError(
+                    "incremental epochs require homogeneous "
+                    "image sizes within a group; use full/"
+                    "forked capture for heterogeneous groups"
+                )
+        return prev
+
     def _group_cycle(
         self,
         group: RaidGroup,
         outcomes: dict[int, CaptureOutcome],
         result: DisklessCycleResult,
-        pending: list,
+        pending: list[_PendingEncode],
         staged_commits: dict[int, CheckpointImage],
     ):
-        """Process: exchange + validation for one group; the parity
-        bytes themselves are encoded by the commit-time batched flush."""
-        if not self._is_xor:
-            yield from self._group_cycle_scheme(
-                group, outcomes, result, pending, staged_commits
-            )
-            return
+        """Process: exchange + validation for one group.
+
+        Every member ships its capture to *each* of the group's ``m``
+        shard homes (the m-way traffic the scheme's ``traffic_factor``
+        models), and each home charges its encode engine.  The shard
+        bytes themselves are encoded by the commit-time batched flush.
+        """
         sim = self.cluster.sim
-        if not self.cluster.node(group.parity_node).alive:
-            # the parity node died before the exchange even started (its
-            # RAM — including any previous parity block — is gone); the
-            # group contributes nothing and the epoch aborts
+        shard_nodes = group.parity_nodes
+        if any(not self.cluster.node(n).alive for n in shard_nodes):
+            # a shard home died before the exchange even started (its
+            # RAM — including any previous shard — is gone); the group
+            # contributes nothing and the epoch aborts
             result.failed_groups.append(group.group_id)
             return
+        folds = self.scheme.folds_deltas
         flows = []
-        member_images: list[CheckpointImage] = []
-        xor_deltas: dict[int, PageDelta] = {}
+        work = _PendingEncode(group, [], {})
         raw_bytes = 0.0
         for vm_id in group.member_vm_ids:
             if vm_id not in outcomes:  # VM failed before capture
                 continue
-            o = outcomes[vm_id]
+            img = outcomes[vm_id].image
             vm = self.cluster.vm(vm_id)
             assert vm.node_id is not None
-            member_images.append(o.image)
-            # functional incremental: precompute old⊕new before commit
-            if o.image.kind == CheckpointKind.INCREMENTAL and o.image.payload is not None:
-                hv = self.cluster.hypervisor(vm.node_id)
-                old = hv.committed(vm_id)
+            work.member_images.append(img)
+            if img.kind == CheckpointKind.INCREMENTAL and img.payload is not None:
+                old = self.cluster.hypervisor(vm.node_id).committed(vm_id)
                 if old is None or old.payload is None:
                     raise RuntimeError(
                         f"vm {vm_id}: incremental epoch without committed base"
                     )
-                xd = self._xor_delta_payload(old, o.image)
-                if xd is not None:
-                    xor_deltas[vm_id] = xd
-            wire = self.compression.output_bytes(o.image.logical_bytes)
-            raw_bytes += o.image.logical_bytes
-            result.network_bytes += wire
-            flows.append(
-                self._transfer(
-                    vm.node_id,
-                    group.parity_node,
-                    wire,
-                    label=f"dvdc.g{group.group_id}.vm{vm_id}.e{o.image.epoch}",
+                work.payloads[vm_id] = (
+                    self._xor_delta_payload(old, img.payload)
+                    if folds
+                    else self._materialize(old, img.payload)
                 )
-            )
-        if not member_images:
+            elif img.payload is not None:
+                work.payloads[vm_id] = img.payload_flat()
+            wire = self.compression.output_bytes(img.logical_bytes)
+            raw_bytes += img.logical_bytes
+            label = f"dvdc.g{group.group_id}.vm{vm_id}.e{img.epoch}"
+            for j, pnode in enumerate(shard_nodes):
+                result.network_bytes += wire
+                flows.append(
+                    self._transfer(
+                        vm.node_id,
+                        pnode,
+                        wire,
+                        label=label if j == 0 else f"{label}.s{j}",
+                    )
+                )
+        if not work.member_images:
             return
         if flows:
             try:
@@ -286,302 +377,92 @@ class DisklessCheckpointer:
                 # nothing and the epoch aborts (failed_groups guard)
                 result.failed_groups.append(group.group_id)
                 return
-
-        # XOR at the parity node (serialized per node across groups)
-        engine = self._xor_engines[group.parity_node]
-        req = engine.request()
-        yield req
-        try:
-            xor_time = raw_bytes / self.xor_bandwidth
-            if xor_time > 0:
-                yield sim.timeout(xor_time)
-        finally:
-            engine.release()
-        result.parity_bytes += raw_bytes
-        result.xor_seconds_by_node[group.parity_node] = (
-            result.xor_seconds_by_node.get(group.parity_node, 0.0)
-            + raw_bytes / self.xor_bandwidth
-        )
-
-        # Validate and *register* the parity encode; the numeric work
-        # happens once per epoch in _flush_encodes, batched across every
-        # group, on the commit path only.  All protocol-point checks
-        # (parity-node aliveness, previous-block presence and checksum,
-        # group homogeneity) stay right here so failure behavior is
-        # unchanged; what moves is pure, event-free byte crunching whose
-        # results only become observable at commit.
-        prev = None
-        functional = all(img.payload is not None for img in member_images)
-        if functional:
-            if any(img.kind == CheckpointKind.INCREMENTAL for img in member_images):
-                pnode = self.cluster.node(group.parity_node)
-                if not pnode.alive:
-                    # died between the aliveness check above and the fold
-                    result.failed_groups.append(group.group_id)
-                    return
-                prev = pnode.parity_store.get(group.group_id)
-                if prev is None or prev.data is None:
-                    raise RuntimeError(
-                        f"group {group.group_id}: incremental parity update "
-                        "without a previous parity block"
-                    )
-                if prev.checksum is not None and block_checksum(prev.data) != prev.checksum:
-                    # folding a delta into rotten parity would produce a
-                    # self-consistently-checksummed wrong block — refuse
-                    raise RuntimeError(
-                        f"group {group.group_id}: previous parity block fails "
-                        "its checksum — silent corruption; scrub or run a "
-                        "full epoch before folding increments"
-                    )
-                for img in member_images:
-                    if img.kind != CheckpointKind.INCREMENTAL:
-                        # a full capture mixed in (e.g. post-recovery)
-                        raise RuntimeError(
-                            "mixed full/incremental captures within one group "
-                            "epoch are not supported; run a full epoch first"
-                        )
-                    xd = xor_deltas[img.vm_id]
-                    if prev.data.shape[0] != xd.n_pages_total * xd.page_size:
-                        raise RuntimeError(
-                            "incremental epochs require homogeneous "
-                            "image sizes within a group; use full/"
-                            "forked capture for heterogeneous groups"
-                        )
-        pending.append((group, member_images, xor_deltas, prev, functional))
-        for img in member_images:
-            staged_commits[img.vm_id] = img
-
-    def _flush_encodes(
-        self, pending: list, staged: dict[int, ParityBlock]
-    ) -> None:
-        """Commit-time batched parity encode.
-
-        ``pending`` holds one ``(group, member_images, xor_deltas, prev,
-        functional)`` record per surviving group, registered in exchange
-        completion order.  Groups are partitioned by shape signature and
-        encoded with the stacked kernels (:func:`xor_reduce_groups`,
-        :func:`xor_fold_groups`, :func:`block_checksums_rows`) — a
-        handful of whole-cluster numpy calls instead of O(groups)
-        small ones.  Results (parity bytes, checksums, staging order)
-        are bit-identical to the historical per-group inline encode;
-        odd-shaped groups fall back to the scalar path.
-        """
-        datas: list[np.ndarray | None] = [None] * len(pending)
-        checksums: list[int | None] = [None] * len(pending)
-        full_batches: dict[tuple[int, int], list[int]] = {}
-        incr_batches: dict[tuple[int, int], list[int]] = {}
-        for i, (group, member_images, xor_deltas, prev, functional) in enumerate(
-            pending
-        ):
-            if not functional:
-                continue
-            if prev is not None:
-                xd0 = xor_deltas[member_images[0].vm_id]
-                incr_batches.setdefault(
-                    (xd0.n_pages_total, xd0.page_size), []
-                ).append(i)
-            else:
-                flats = [img.payload_flat() for img in member_images]
-                lengths = {f.shape[0] for f in flats}
-                if len(lengths) == 1:
-                    full_batches.setdefault(
-                        (len(flats), lengths.pop()), []
-                    ).append(i)
-                else:  # heterogeneous member sizes: scalar padded reduce
-                    data = xor_reduce_padded(
-                        flats,
-                        out=GLOBAL_POOL.acquire(max(f.shape[0] for f in flats)),
-                    )
-                    datas[i] = data
-                    checksums[i] = block_checksum(data)
-
-        for (_n_members, _length), idxs in full_batches.items():
-            stacked = xor_reduce_groups(
-                [
-                    [img.payload_flat() for img in pending[i][1]]
-                    for i in idxs
-                ]
-            )
-            row_sums = block_checksums_rows(stacked)
-            for row, i in enumerate(idxs):
-                datas[i] = stacked[row]
-                checksums[i] = row_sums[row]
-
-        for (n_pages_total, page_size), idxs in incr_batches.items():
-            folds = []
-            for i in idxs:
-                _g, member_images, xor_deltas, _p, _f = pending[i]
-                folds.append(
-                    [
-                        (
-                            xor_deltas[img.vm_id].indices,
-                            xor_deltas[img.vm_id].pages,
-                        )
-                        for img in member_images
-                    ]
-                )
-            stacked = xor_fold_groups(
-                [pending[i][3].data for i in idxs],
-                folds,
-                n_pages_total,
-                page_size,
-            )
-            del folds
-            row_sums = block_checksums_rows(stacked)
-            for row, i in enumerate(idxs):
-                datas[i] = stacked[row]
-                checksums[i] = row_sums[row]
-                # every delta of this group is folded; reclaim the pages
-                member_images, xor_deltas = pending[i][1], pending[i][2]
-                for img in member_images:
-                    recycle_delta(xor_deltas.pop(img.vm_id))
-
-        for i, (group, member_images, _xd, _prev, _f) in enumerate(pending):
-            logical = max(img.logical_bytes for img in member_images)
-            full_logical = max(
-                self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
-            )
-            staged[group.group_id] = ParityBlock(
-                group_id=group.group_id,
-                epoch=self.epoch,
-                member_vm_ids=group.member_vm_ids,
-                logical_bytes=full_logical if logical < full_logical else logical,
-                data=datas[i],
-                checksum=checksums[i],
-            )
-
-    # ------------------------------------------------------------------
-    # generalized m-shard paths (any CodingScheme other than plain XOR)
-    # ------------------------------------------------------------------
-    def _group_cycle_scheme(
-        self,
-        group: RaidGroup,
-        outcomes: dict[int, CaptureOutcome],
-        result: DisklessCycleResult,
-        pending: list,
-        staged_commits: dict[int, CheckpointImage],
-    ):
-        """Process: m-way exchange for one group under a general scheme.
-
-        Every member ships its capture to *each* of the scheme's ``m``
-        shard homes (the m-way traffic the scheme's ``traffic_factor``
-        models), and each home charges its encode engine.  Incremental
-        captures are materialized to full images (committed base + dirty
-        pages) and the shards re-encoded whole — correct for any scheme,
-        linear or not.
-        """
-        sim = self.cluster.sim
-        shard_nodes = group.parity_nodes
-        if any(not self.cluster.node(n).alive for n in shard_nodes):
-            # a shard home died before the exchange (its RAM — including
-            # any previous shard — is gone); the epoch aborts
-            result.failed_groups.append(group.group_id)
-            return
-        flows = []
-        member_images: list[CheckpointImage] = []
-        full_flats: dict[int, np.ndarray] = {}
-        raw_bytes = 0.0
-        for vm_id in group.member_vm_ids:
-            if vm_id not in outcomes:  # VM failed before capture
-                continue
-            o = outcomes[vm_id]
-            vm = self.cluster.vm(vm_id)
-            assert vm.node_id is not None
-            member_images.append(o.image)
-            if o.image.payload is not None:
-                if o.image.kind == CheckpointKind.INCREMENTAL and isinstance(
-                    o.image.payload, PageDelta
-                ):
-                    hv = self.cluster.hypervisor(vm.node_id)
-                    old = hv.committed(vm_id)
-                    if old is None or old.payload is None:
-                        raise RuntimeError(
-                            f"vm {vm_id}: incremental epoch without committed base"
-                        )
-                    delta: PageDelta = o.image.payload
-                    pages = old.payload_flat().copy().reshape(
-                        delta.n_pages_total, delta.page_size
-                    )
-                    pages[delta.indices] = delta.pages
-                    full_flats[vm_id] = pages.reshape(-1)
-                else:
-                    full_flats[vm_id] = o.image.payload_flat()
-            wire = self.compression.output_bytes(o.image.logical_bytes)
-            raw_bytes += o.image.logical_bytes
-            base = f"dvdc.g{group.group_id}.vm{vm_id}.e{o.image.epoch}"
-            for j, pnode in enumerate(shard_nodes):
-                result.network_bytes += wire
-                flows.append(
-                    self._transfer(
-                        vm.node_id,
-                        pnode,
-                        wire,
-                        label=base if j == 0 else f"{base}.s{j}",
-                    )
-                )
-        if not member_images:
-            return
-        if flows:
-            try:
-                yield AllOf(sim, flows)
-            except NetworkError:
-                result.failed_groups.append(group.group_id)
-                return
         # encode at every shard home (serialized per node across groups)
         for pnode in shard_nodes:
             if not self.cluster.node(pnode).alive:
                 result.failed_groups.append(group.group_id)
                 return
-            engine = self._xor_engines[pnode]
-            req = engine.request()
-            yield req
-            try:
-                xor_time = raw_bytes / self.xor_bandwidth
-                if xor_time > 0:
-                    yield sim.timeout(xor_time)
-            finally:
-                engine.release()
+            yield from self._charge_engine(pnode, raw_bytes)
             result.parity_bytes += raw_bytes
             result.xor_seconds_by_node[pnode] = (
                 result.xor_seconds_by_node.get(pnode, 0.0)
                 + raw_bytes / self.xor_bandwidth
             )
-        pending.append((group, member_images, full_flats))
-        for img in member_images:
+
+        # Validate and *register* the encode; the numeric work happens
+        # once per epoch in _flush_encodes, batched across every group,
+        # on the commit path only.  All protocol-point checks (shard-home
+        # aliveness, previous-shard presence and checksum, group
+        # homogeneity) stay right here so failure behavior is unchanged.
+        if (
+            folds
+            and work.functional
+            and any(img.kind == CheckpointKind.INCREMENTAL for img in work.member_images)
+        ):
+            work.prev = self._previous_shards(group, work, result)
+            if work.prev is None:
+                return
+        pending.append(work)
+        for img in work.member_images:
             staged_commits[img.vm_id] = img
 
-    def _flush_encodes_scheme(self, pending: list, staged: dict[int, list]) -> None:
-        """Commit-time shard encode for a general scheme.
+    def _flush_encodes(
+        self, pending: list[_PendingEncode], staged: dict[int, list[ParityBlock]]
+    ) -> None:
+        """Commit-time batched shard encode.
 
-        ``pending`` holds ``(group, member_images, full_flats)`` records;
-        ``staged[group_id]`` becomes the shard-index-ordered list of
-        :class:`ParityBlock`, keyed for the parity stores with
-        :func:`repro.coding.shard_key`.
+        Full epochs go through :meth:`CodingScheme.encode_groups` and
+        incremental epochs of a folding scheme through
+        :meth:`CodingScheme.fold_groups` — each one call over every
+        group, so a scheme can batch the work into a handful of
+        whole-cluster kernels.  ``staged[group_id]`` becomes the
+        shard-index-ordered list of :class:`ParityBlock`, keyed for the
+        parity stores with :func:`repro.coding.shard_key`.
         """
-        for group, member_images, full_flats in pending:
-            functional = len(full_flats) == len(member_images) and member_images
-            shards: list[np.ndarray] | None = None
-            if functional:
-                flats = [full_flats[img.vm_id] for img in member_images]
-                shards = self.scheme.encode(flats)
-            logical = max(img.logical_bytes for img in member_images)
+        encoded: list = [None] * len(pending)
+        full = [i for i, w in enumerate(pending) if w.functional and w.prev is None]
+        if full:
+            results = self.scheme.encode_groups([
+                [pending[i].payloads[img.vm_id] for img in pending[i].member_images]
+                for i in full
+            ])
+            for i, res in zip(full, results):
+                encoded[i] = res
+        folded = [i for i, w in enumerate(pending) if w.prev is not None]
+        if folded:
+            deltas = [
+                [pending[i].payloads[img.vm_id] for img in pending[i].member_images]
+                for i in folded
+            ]
+            results = self.scheme.fold_groups(
+                [[b.data for b in pending[i].prev] for i in folded], deltas
+            )
+            del deltas
+            for i, res in zip(folded, results):
+                encoded[i] = res
+                # every delta of this group is folded; reclaim the pages
+                payloads = pending[i].payloads
+                for img in pending[i].member_images:
+                    recycle_delta(payloads.pop(img.vm_id))
+
+        for work, res in zip(pending, encoded):
+            group = work.group
+            shards, checksums = res if res is not None else (None, None)
+            logical = max(img.logical_bytes for img in work.member_images)
             full_logical = max(
                 self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
             )
-            blocks = []
-            for j in range(self.scheme.n_shards):
-                data = shards[j] if shards is not None else None
-                blocks.append(
-                    ParityBlock(
-                        group_id=shard_key(group.group_id, j),
-                        epoch=self.epoch,
-                        member_vm_ids=group.member_vm_ids,
-                        logical_bytes=full_logical if logical < full_logical else logical,
-                        data=data,
-                        checksum=None if data is None else block_checksum(data),
-                    )
+            staged[group.group_id] = [
+                ParityBlock(
+                    group_id=shard_key(group.group_id, j),
+                    epoch=self.epoch,
+                    member_vm_ids=group.member_vm_ids,
+                    logical_bytes=full_logical if logical < full_logical else logical,
+                    data=None if shards is None else shards[j],
+                    checksum=None if checksums is None else checksums[j],
                 )
-            staged[group.group_id] = blocks
+                for j in range(self.scheme.n_shards)
+            ]
 
     def run_cycle(self, pause_done=None):
         """Process: one coordinated diskless checkpoint epoch.
@@ -621,9 +502,9 @@ class DisklessCheckpointer:
         for o in outcomes_list:
             result.per_vm_pause[o.image.vm_id] = o.pause_seconds
 
-        staged: dict[int, ParityBlock] = {}
+        staged: dict[int, list[ParityBlock]] = {}
         staged_commits: dict[int, CheckpointImage] = {}
-        pending: list = []
+        pending: list[_PendingEncode] = []
         group_procs = [
             sim.process(
                 self._group_cycle(g, outcomes, result, pending, staged_commits)
@@ -658,16 +539,10 @@ class DisklessCheckpointer:
                 self.auditor.post_cycle(self, result)
             return result
         groups_by_id = {g.group_id: g for g in self.layout.groups}
-        if self._is_xor:
-            self._flush_encodes(pending, staged)
-            for group_id, block in staged.items():
-                self.cluster.node(groups_by_id[group_id].parity_node).store_parity(block)
-        else:
-            self._flush_encodes_scheme(pending, staged)
-            for group_id, blocks in staged.items():
-                g = groups_by_id[group_id]
-                for node_id, blk in zip(g.parity_nodes, blocks):
-                    self.cluster.node(node_id).store_parity(blk)
+        self._flush_encodes(pending, staged)
+        for group_id, blocks in staged.items():
+            for node_id, blk in zip(groups_by_id[group_id].parity_nodes, blocks):
+                self.cluster.node(node_id).store_parity(blk)
         # every member is fingerprinted by the checksum its commit takes
         # (of the merged full image for incremental epochs), so a rebuild
         # can verify the bytes it restores whatever the epoch kind
@@ -683,7 +558,7 @@ class DisklessCheckpointer:
             if checksum is not None:
                 member_checksums[vm_id] = checksum
         for blocks in staged.values():
-            for blk in blocks if isinstance(blocks, list) else (blocks,):
+            for blk in blocks:
                 blk.member_checksums = {
                     v: member_checksums[v]
                     for v in blk.member_vm_ids
@@ -703,6 +578,7 @@ class DisklessCheckpointer:
         if self.auditor is not None:
             self.auditor.post_cycle(self, result)
         return result
+
 
     # ------------------------------------------------------------------
     # recovery
@@ -731,213 +607,6 @@ class DisklessCheckpointer:
             vm.resume()
         report.rolled_back.append(vm_id)
 
-    def _rebuild_member(
-        self, group: RaidGroup, lost_vm_id: int, report: DisklessRecoveryReport
-    ):
-        """Process: reconstruct one lost member from survivors + parity."""
-        sim = self.cluster.sim
-        parity_node = group.parity_node
-        pnode = self.cluster.node(parity_node)
-        block = pnode.parity_store.get(group.group_id)
-        if block is None or not pnode.alive:
-            raise RuntimeError(
-                f"group {group.group_id}: parity block unavailable on node "
-                f"{parity_node} — unrecoverable with single parity"
-            )
-        survivors = [v for v in group.member_vm_ids if v != lost_vm_id]
-        flows = []
-        survivor_payloads = []
-        total_bytes = 0.0
-        wire_bytes = 0.0
-        for v in survivors:
-            vm = self.cluster.vm(v)
-            if vm.node_id is None:
-                raise RuntimeError(
-                    f"group {group.group_id}: survivor vm {v} also lost — "
-                    "double failure exceeds XOR parity"
-                )
-            hv = self.cluster.hypervisor(vm.node_id)
-            img = hv.committed(v)
-            if img is None:
-                raise RuntimeError(f"survivor vm {v} has no committed checkpoint")
-            nbytes = self.cluster.vm(v).memory_bytes
-            total_bytes += nbytes
-            if img.payload is not None:
-                survivor_payloads.append(img.payload_flat())
-            if vm.node_id != parity_node:
-                wire_bytes += nbytes
-                flows.append(
-                    self._transfer(
-                        vm.node_id, parity_node, nbytes,
-                        label=f"rebuild.g{group.group_id}.vm{v}",
-                    )
-                )
-        if flows:
-            try:
-                yield AllOf(sim, flows)
-            except NetworkError:
-                # another node died mid-rebuild; leave this VM failed —
-                # the queued failure's recovery pass retries the group.
-                # Aborted transfers never count toward report.network_bytes.
-                return
-        report.network_bytes += wire_bytes
-        # XOR: survivors + parity
-        if not self.cluster.node(parity_node).alive:
-            raise RuntimeError(
-                f"group {group.group_id}: parity node {parity_node} died "
-                "during reconstruction — unrecoverable with single parity"
-            )
-        lost_vm = self.cluster.vm(lost_vm_id)
-        xor_bytes = total_bytes + lost_vm.memory_bytes
-        engine = self._xor_engines[parity_node]
-        req = engine.request()
-        yield req
-        try:
-            yield sim.timeout(xor_bytes / self.xor_bandwidth)
-        finally:
-            engine.release()
-        report.xor_bytes += xor_bytes
-
-        rebuilt: np.ndarray | None = None
-        if block.data is not None and len(survivor_payloads) == len(survivors):
-            rebuilt = reconstruct_missing_padded(
-                survivor_payloads,
-                block.data,
-                lost_vm.image.nbytes
-                if lost_vm.image is not None
-                else block.data.shape[0],
-            )
-            expect = block.member_checksums.get(lost_vm_id)
-            if expect is not None and block_checksum(rebuilt) != expect:
-                raise RuntimeError(
-                    f"vm {lost_vm_id}: rebuilt image fails its end-to-end "
-                    "checksum — a survivor image or the parity block is "
-                    "silently corrupt; scrub before recovering"
-                )
-
-        # ship the rebuilt image to its new home and restore
-        target = choose_restore_node(
-            self.cluster, self.layout, group,
-            exclude=self._recovery_exclude({report.failed_node}),
-            domains=self.domains,
-        )
-        if target != parity_node:
-            flow = self._transfer(
-                parity_node, target, lost_vm.memory_bytes,
-                label=f"restore.g{group.group_id}.vm{lost_vm_id}",
-            )
-            try:
-                yield flow
-            except NetworkError:
-                return  # destination (or source) died; retried later
-            report.network_bytes += lost_vm.memory_bytes
-        self.cluster.place_failed_vm(lost_vm_id, target)
-        hv = self.cluster.hypervisor(target)
-        image = CheckpointImage(
-            vm_id=lost_vm_id,
-            epoch=self.committed_epoch,
-            kind=CheckpointKind.FULL,
-            logical_bytes=lost_vm.memory_bytes,
-            captured_at=sim.now,
-            payload=rebuilt,
-            meta={"reconstructed": True},
-        )
-        if rebuilt is not None or lost_vm.image is None:
-            hv.restore(lost_vm, image)
-        else:  # functional VM but timing-only parity: revive without bytes
-            lost_vm.revive()
-        hv.commit_checkpoint(image)
-        report.reconstructed[lost_vm_id] = target
-        self.tracer.emit(
-            sim.now, "diskless.rebuild", vm=lost_vm_id, group=group.group_id,
-            target=target,
-        )
-
-    def _reencode_parity(self, group: RaidGroup, report: DisklessRecoveryReport):
-        """Process: rebuild a lost parity block on a fresh node."""
-        sim = self.cluster.sim
-        new_node = choose_parity_node(
-            self.cluster, self.layout, group,
-            exclude=self._recovery_exclude({report.failed_node}),
-            domains=self.domains,
-        )
-        flows = []
-        payloads = []
-        total = 0.0
-        wire_bytes = 0.0
-        for v in group.member_vm_ids:
-            vm = self.cluster.vm(v)
-            if vm.node_id is None:
-                # a member just died too: the queued failure's recovery
-                # will rebuild it and re-encode this group afterwards
-                return
-            img = self.cluster.hypervisor(vm.node_id).committed(v)
-            if img is None:
-                raise RuntimeError(f"vm {v} has no committed checkpoint to re-encode")
-            total += vm.memory_bytes
-            if img.payload is not None:
-                payloads.append(img.payload_flat())
-            if vm.node_id != new_node:
-                wire_bytes += vm.memory_bytes
-                flows.append(
-                    self._transfer(
-                        vm.node_id, new_node, vm.memory_bytes,
-                        label=f"reencode.g{group.group_id}.vm{v}",
-                    )
-                )
-        if flows:
-            try:
-                yield AllOf(sim, flows)
-            except NetworkError:
-                # retried by the queued failure's recovery; dead transfers
-                # contribute nothing to the accounting
-                return
-        report.network_bytes += wire_bytes
-        engine = self._xor_engines[new_node]
-        req = engine.request()
-        yield req
-        try:
-            yield sim.timeout(total / self.xor_bandwidth)
-        finally:
-            engine.release()
-        report.xor_bytes += total
-        data = (
-            xor_reduce_padded(payloads)
-            if payloads and len(payloads) == len(group.member_vm_ids)
-            else None
-        )
-        member_checksums: dict[int, int] = {}
-        if data is not None:
-            for v, p in zip(group.member_vm_ids, payloads):
-                member_checksums[v] = block_checksum(p)
-        block = ParityBlock(
-            group_id=group.group_id,
-            epoch=self.committed_epoch,
-            member_vm_ids=group.member_vm_ids,
-            logical_bytes=max(
-                self.cluster.vm(v).memory_bytes for v in group.member_vm_ids
-            ),
-            data=data,
-            checksum=None if data is None else block_checksum(data),
-            member_checksums=member_checksums,
-        )
-        self.cluster.node(new_node).store_parity(block)
-        # drop the superseded block from the previous home, if any
-        old_home = self.cluster.node(group.parity_node)
-        if old_home.alive and old_home.node_id != new_node:
-            old_home.parity_store.pop(group.group_id, None)
-        # the layout now points parity at the new node
-        self.layout.replace_group(
-            group.group_id, RaidGroup(group.group_id, group.member_vm_ids, new_node)
-        )
-        report.reencoded_groups.append(group.group_id)
-        self.tracer.emit(
-            sim.now, "diskless.reencode", group=group.group_id, node=new_node
-        )
-
-    # ------------------------------------------------------------------
-    # generalized m-shard recovery
-    # ------------------------------------------------------------------
     def _shard_blocks(self, group: RaidGroup) -> list[ParityBlock | None]:
         """The group's shard blocks in shard-index order; ``None`` marks a
         shard whose home is dead or whose block is missing."""
@@ -952,52 +621,23 @@ class DisklessCheckpointer:
             out.append(blk)
         return out
 
-    def _missing_shard_slots(self, group: RaidGroup) -> list[int]:
-        """Shard indices whose home is dead, block missing, or colocated
-        with a member — everything :meth:`heal` must re-home.  With
-        :attr:`domains` set, sharing a *failure domain* with a member
-        counts as colocation too (geo-spread invariant)."""
-        member_nodes = {
-            self.cluster.vm(v).node_id
-            for v in group.member_vm_ids
-            if self.cluster.vm(v).node_id is not None
-        }
-        member_doms = (
-            {self.domains.domain_of(m) for m in member_nodes}
-            if self.domains is not None
-            else None
-        )
-        slots = []
-        for j, node_id in enumerate(group.parity_nodes):
-            node = self.cluster.node(node_id)
-            if (
-                not node.alive
-                or shard_key(group.group_id, j) not in node.parity_store
-                or node_id in member_nodes
-                or (
-                    member_doms is not None
-                    and self.domains.domain_of(node_id) in member_doms
-                )
-            ):
-                slots.append(j)
-        return slots
+    def _lost_shard_slots(self, group: RaidGroup) -> list[int]:
+        """Shard slots whose home is dead or whose block is missing — the
+        slots recovery re-homes.  A slot that merely shares a node with a
+        member stays put; :meth:`heal` moves it once a valid home exists."""
+        return [j for j, b in enumerate(self._shard_blocks(group)) if b is None]
 
-    def _recover_group_scheme(
-        self, group: RaidGroup, lost_vm_ids: list[int], report: DisklessRecoveryReport
-    ):
-        """Process: rebuild every lost member of one group via the scheme.
+    def _recoverable_shards(
+        self, group: RaidGroup, lost_vm_ids: list[int]
+    ) -> tuple[list[ParityBlock | None], int]:
+        """The group's shard blocks and the node that stages its rebuild.
 
-        Handles any erasure pattern within ``scheme.tolerance`` (multiple
-        members, members + shards); patterns beyond it raise the
-        tolerance-aware unrecoverable error the audit classifier keys on.
-        Missing shards are re-encoded afterwards in the same pass.
+        Raises the tolerance-aware unrecoverable error (the one the audit
+        classifier keys on) when the lost members plus missing shards
+        exceed what the scheme repairs.
         """
-        sim = self.cluster.sim
-        k = len(group.member_vm_ids)
         shard_blocks = self._shard_blocks(group)
-        lost_set = set(lost_vm_ids)
         missing_shards = sum(1 for b in shard_blocks if b is None)
-        erasures = len(lost_set) + missing_shards
         staging = next(
             (
                 group.parity_nodes[j]
@@ -1008,17 +648,31 @@ class DisklessCheckpointer:
         )
         # The scheme guarantees any <= tolerance erasures; replication can
         # additionally recover any pattern that leaves one replica alive.
-        over_tolerance = erasures > self.scheme.tolerance
+        over_tolerance = len(lost_vm_ids) + missing_shards > self.scheme.tolerance
         replica_rescue = (
             getattr(self.scheme, "copies", None) is not None and staging is not None
         )
         if (over_tolerance and not replica_rescue) or staging is None:
             raise RuntimeError(
-                f"group {group.group_id} lost {len(lost_set)} members and "
+                f"group {group.group_id} lost {len(lost_vm_ids)} members and "
                 f"{missing_shards} parity shards — beyond {self.scheme.name} "
                 f"tolerance {self.scheme.tolerance}"
             )
+        return shard_blocks, staging
 
+    def _recover_group(
+        self, group: RaidGroup, lost_vm_ids: list[int], report: DisklessRecoveryReport
+    ):
+        """Process: rebuild every lost member of one group via the scheme.
+
+        Handles any erasure pattern within ``scheme.tolerance`` (multiple
+        members, members + shards) at a staging node — the first shard
+        home still holding its block.  Shards this crash emptied are
+        re-encoded afterwards in the same pass.
+        """
+        sim = self.cluster.sim
+        shard_blocks, staging = self._recoverable_shards(group, lost_vm_ids)
+        lost_set = set(lost_vm_ids)
         survivors = [v for v in group.member_vm_ids if v not in lost_set]
         flows = []
         wire_bytes = 0.0
@@ -1063,8 +717,9 @@ class DisklessCheckpointer:
             try:
                 yield AllOf(sim, flows)
             except NetworkError:
-                # another node died mid-rebuild; the queued failure's
-                # recovery pass retries the group
+                # another node died mid-rebuild; leave the VMs failed —
+                # the queued failure's recovery pass retries the group.
+                # Aborted transfers never count toward report.network_bytes.
                 return
         report.network_bytes += wire_bytes
         if not self.cluster.node(staging).alive:
@@ -1073,46 +728,29 @@ class DisklessCheckpointer:
                 f"reconstruction — beyond {self.scheme.name} tolerance"
             )
         decode_bytes += sum(self.cluster.vm(v).memory_bytes for v in lost_set)
-        engine = self._xor_engines[staging]
-        req = engine.request()
-        yield req
-        try:
-            yield sim.timeout(decode_bytes / self.xor_bandwidth)
-        finally:
-            engine.release()
+        yield from self._charge_engine(staging, decode_bytes)
         report.xor_bytes += decode_bytes
 
-        functional = len(survivor_payloads) == len(survivors) and any(
-            b is not None and b.data is not None for b in shard_blocks
-        )
         rebuilt: dict[int, np.ndarray] = {}
-        checksums_src = next(
-            (b for b in shard_blocks if b is not None), None
-        )
-        if functional:
-            ref = next(b for b in shard_blocks if b is not None and b.data is not None)
-            length = self.scheme.working_length(int(ref.data.shape[0]), k)
-            member_bufs = [
-                survivor_payloads.get(v) if v not in lost_set else None
-                for v in group.member_vm_ids
-            ]
-            shard_bufs = [
-                None if b is None or b.data is None else b.data for b in shard_blocks
-            ]
-            decoded = self.scheme.reconstruct(member_bufs, shard_bufs, nbytes=length)
+        intact = [b for b in shard_blocks if b is not None and b.data is not None]
+        if intact and len(survivor_payloads) == len(survivors):
+            length = self.scheme.working_length(
+                int(intact[0].data.shape[0]), len(group.member_vm_ids)
+            )
+            decoded = self.scheme.reconstruct(
+                [survivor_payloads.get(v) for v in group.member_vm_ids],
+                [None if b is None else b.data for b in shard_blocks],
+                nbytes=length,
+            )
+            # every stored shard carries the members' commit checksums
+            expected = next(b for b in shard_blocks if b is not None).member_checksums
             for idx, v in enumerate(group.member_vm_ids):
                 if v not in lost_set:
                     continue
                 lost_vm = self.cluster.vm(v)
-                nbytes = (
-                    lost_vm.image.nbytes if lost_vm.image is not None else length
-                )
+                nbytes = lost_vm.image.nbytes if lost_vm.image is not None else length
                 img_bytes = decoded[idx][:nbytes].copy()
-                expect = (
-                    checksums_src.member_checksums.get(v)
-                    if checksums_src is not None
-                    else None
-                )
+                expect = expected.get(v)
                 if expect is not None and block_checksum(img_bytes) != expect:
                     raise RuntimeError(
                         f"vm {v}: rebuilt image fails its end-to-end checksum "
@@ -1161,29 +799,24 @@ class DisklessCheckpointer:
                 target=target,
             )
         # re-home any shard slots this crash emptied
-        if self._missing_shard_slots(group):
-            yield from self._reencode_shards_scheme(group, report)
+        slots = self._lost_shard_slots(group)
+        if slots:
+            yield from self._reencode_shards(group, report, slots)
 
-    def _reencode_shards_scheme(self, group: RaidGroup, report: DisklessRecoveryReport):
-        """Process: re-encode the group's shards, re-homing every slot
-        whose node died or whose block is missing/colocated.
+    def _reencode_shards(
+        self, group: RaidGroup, report: DisklessRecoveryReport, slots: list[int]
+    ):
+        """Process: re-encode the group's shards onto new homes for
+        ``slots``.
 
         All ``m`` shards are recomputed from the committed member images
-        (one encode) but only missing slots get new homes; surviving
-        slots keep their nodes and are refreshed in place so the group
-        ends the pass fully protected on ``m`` distinct non-member
-        nodes.
+        (one encode) but only ``slots`` get new homes and blocks; other
+        slots keep their nodes, so the group ends the pass protected on
+        ``m`` distinct nodes.  The old home of a moved slot keeps its
+        block until the new one is stored.
         """
         sim = self.cluster.sim
         gid = group.group_id
-        slots = self._missing_shard_slots(group)
-        if not slots:
-            return
-        member_nodes = {
-            self.cluster.vm(v).node_id
-            for v in group.member_vm_ids
-            if self.cluster.vm(v).node_id is not None
-        }
         homes = list(group.parity_nodes)
         for j in slots:
             taken = {h for i, h in enumerate(homes) if i != j}
@@ -1215,33 +848,29 @@ class DisklessCheckpointer:
         flows = []
         wire_bytes = 0.0
         for j in slots:
-            new_home = homes[j]
             for v in group.member_vm_ids:
                 vm = self.cluster.vm(v)
-                if vm.node_id != new_home:
+                if vm.node_id != homes[j]:
                     wire_bytes += vm.memory_bytes
+                    label = f"reencode.g{gid}.vm{v}"
                     flows.append(
                         self._transfer(
-                            vm.node_id, new_home, vm.memory_bytes,
-                            label=f"reencode.g{gid}.s{j}.vm{v}",
+                            vm.node_id, homes[j], vm.memory_bytes,
+                            label=label if j == 0 else f"{label}.s{j}",
                         )
                     )
         if flows:
             try:
                 yield AllOf(sim, flows)
             except NetworkError:
+                # retried by the queued failure's recovery; dead transfers
+                # contribute nothing to the accounting
                 return
         report.network_bytes += wire_bytes
         for j in slots:
-            engine = self._xor_engines[homes[j]]
-            req = engine.request()
-            yield req
-            try:
-                yield sim.timeout(total / self.xor_bandwidth)
-            finally:
-                engine.release()
+            yield from self._charge_engine(homes[j], total)
             report.xor_bytes += total
-        functional = len(payloads) == len(group.member_vm_ids) and payloads
+        functional = payloads and len(payloads) == len(group.member_vm_ids)
         shards = self.scheme.encode(payloads) if functional else None
         member_checksums: dict[int, int] = {}
         if functional:
@@ -1269,82 +898,75 @@ class DisklessCheckpointer:
         if gid not in report.reencoded_groups:
             report.reencoded_groups.append(gid)
         self.tracer.emit(
-            sim.now, "diskless.reencode", group=gid,
-            node=homes[slots[0]] if slots else group.parity_node,
+            sim.now, "diskless.reencode", group=gid, node=homes[slots[0]]
         )
+
+    def _heal_slots(self, group: RaidGroup) -> list[int]:
+        """Shard slots :meth:`heal` re-homes.
+
+        A missing slot always moves (a degraded home beats none).  A slot
+        sharing a node with a member moves only when a strictly valid
+        home exists — alive, hosting no member and no other shard; with
+        :attr:`domains` set, a slot sharing a *failure domain* with a
+        member moves only to a domain-orthogonal home.
+        """
+        member_nodes = {
+            self.cluster.vm(v).node_id
+            for v in group.member_vm_ids
+            if self.cluster.vm(v).node_id is not None
+        }
+        member_doms = (
+            {self.domains.domain_of(m) for m in member_nodes}
+            if self.domains is not None
+            else set()
+        )
+        homes = group.parity_nodes
+        slots = []
+        free = None
+        for j, blk in enumerate(self._shard_blocks(group)):
+            home = homes[j]
+            if blk is None:
+                slots.append(j)
+                continue
+            colocated = home in member_nodes
+            if not colocated and (
+                self.domains is None or self.domains.domain_of(home) not in member_doms
+            ):
+                continue
+            if free is None:
+                free = [
+                    n.node_id
+                    for n in self.cluster.alive_nodes
+                    if n.node_id not in member_nodes and n.node_id not in homes
+                ]
+            if colocated and free:
+                slots.append(j)
+            elif not colocated and any(
+                self.domains.domain_of(n) not in member_doms for n in free
+            ):
+                slots.append(j)
+        return slots
 
     def heal(self):
         """Process: restore layout validity after node repairs.
 
         Post-recovery placements can be *degraded*: with few nodes the
-        only place to restore a rebuilt VM is its group's parity node,
+        only place to restore a rebuilt VM is a shard home of its group,
         so one element of slack is gone until the crashed node returns.
-        ``heal`` scans for groups whose parity block is co-located with
-        a member (or missing/on a dead node) and re-encodes the parity
-        onto a strictly valid node when one exists.  Call it at
-        checkpoint boundaries once repairs have landed — the
+        ``heal`` re-encodes every shard that is missing, or co-located
+        with a member, onto a strictly valid node when one exists (see
+        :meth:`_heal_slots`).  Call it at checkpoint boundaries once
+        repairs have landed — the
         :class:`~repro.workloads.app.CheckpointedJob` runner does.
         """
         healed: list[int] = []
-        if not self._is_xor:
-            for group in list(self.layout.groups):
-                if not self._missing_shard_slots(group):
-                    continue
-                report = DisklessRecoveryReport(failed_node=-1)
-                try:
-                    yield from self._reencode_shards_scheme(group, report)
-                except RuntimeError:
-                    continue
-                healed.append(group.group_id)
-            if healed:
-                self.tracer.emit(self.cluster.sim.now, "diskless.heal", groups=healed)
-            return healed
         for group in list(self.layout.groups):
-            pnode = self.cluster.node(group.parity_node)
-            member_nodes = {
-                self.cluster.vm(v).node_id
-                for v in group.member_vm_ids
-                if self.cluster.vm(v).node_id is not None
-            }
-            missing = (not pnode.alive) or group.group_id not in pnode.parity_store
-            colocated = group.parity_node in member_nodes
-            member_doms = (
-                {self.domains.domain_of(m) for m in member_nodes}
-                if self.domains is not None
-                else set()
-            )
-            dom_colocated = (
-                not missing
-                and not colocated
-                and self.domains is not None
-                and self.domains.domain_of(group.parity_node) in member_doms
-            )
-            if not (missing or colocated or dom_colocated):
+            slots = self._heal_slots(group)
+            if not slots:
                 continue
-            # only act when a strictly valid new home exists
-            valid = [
-                n
-                for n in self.cluster.alive_nodes
-                if n.node_id not in member_nodes and n.node_id != group.parity_node
-            ]
-            if dom_colocated:
-                # the current home is safe node-wise; move only if a
-                # domain-orthogonal home actually exists
-                valid = [
-                    n for n in valid
-                    if self.domains.domain_of(n.node_id) not in member_doms
-                ]
-                if not valid:
-                    continue
-            if not valid and not missing:
-                continue
-            if not valid and missing:
-                # parity truly lost and nowhere valid: degrade rather
-                # than leave the group unprotected
-                pass
             report = DisklessRecoveryReport(failed_node=-1)
             try:
-                yield from self._reencode_parity(group, report)
+                yield from self._reencode_shards(group, report, slots)
             except RuntimeError:
                 continue
             healed.append(group.group_id)
@@ -1357,7 +979,8 @@ class DisklessCheckpointer:
 
         Phases run concurrently where independent: survivor rollbacks
         (local memory copies), per-group member reconstruction, and
-        parity re-encoding.  Returns a
+        shard re-encoding.  A group that lost more than the scheme
+        repairs raises before any of that starts.  Returns a
         :class:`~repro.core.recovery.DisklessRecoveryReport`.
         """
         sim = self.cluster.sim
@@ -1371,50 +994,32 @@ class DisklessCheckpointer:
             for vm in self.cluster.all_vms
             if vm.state == VMState.FAILED and vm.node_id is None
         ]
-        lost_set = set(lost_vms)
-        procs = []
-        if self._is_xor:
-            # groups that lost a member
-            for vm_id in lost_vms:
-                group = self.layout.group_of(vm_id)
-                others_lost = [v for v in group.member_vm_ids if v in lost_set and v != vm_id]
-                if others_lost:
-                    raise RuntimeError(
-                        f"group {group.group_id} lost {len(others_lost) + 1} members "
-                        "— beyond single-parity tolerance"
-                    )
-                procs.append(sim.process(self._rebuild_member(group, vm_id, report)))
-            # groups whose parity block is missing anywhere (this crash, or a
-            # re-encode aborted by an earlier overlapping crash) and that
-            # lost no member this time
-            for group in self.layout.groups:
-                if any(v in lost_set for v in group.member_vm_ids):
-                    continue
-                pnode = self.cluster.node(group.parity_node)
-                if (not pnode.alive) or group.group_id not in pnode.parity_store:
-                    procs.append(sim.process(self._reencode_parity(group, report)))
-        else:
-            # general scheme: one recovery process per damaged group,
-            # handling any <= tolerance mix of lost members and shards
-            lost_by_group: dict[int, list[int]] = {}
-            for vm_id in lost_vms:
-                group = self.layout.group_of(vm_id)
-                lost_by_group.setdefault(group.group_id, []).append(vm_id)
-            groups_by_id = {g.group_id: g for g in self.layout.groups}
-            for gid, lost in lost_by_group.items():
-                procs.append(
-                    sim.process(
-                        self._recover_group_scheme(groups_by_id[gid], lost, report)
-                    )
-                )
-            for group in self.layout.groups:
-                if group.group_id in lost_by_group:
-                    continue
-                if self._missing_shard_slots(group):
-                    procs.append(
-                        sim.process(self._reencode_shards_scheme(group, report))
-                    )
+        lost_by_group: dict[int, list[int]] = {}
+        for vm_id in lost_vms:
+            group = self.layout.group_of(vm_id)
+            lost_by_group.setdefault(group.group_id, []).append(vm_id)
+        groups_by_id = {g.group_id: g for g in self.layout.groups}
+        # a loss beyond the scheme's tolerance in any group raises before
+        # recovery starts anything, so no rebuild outlives a failed pass
+        for gid, lost in lost_by_group.items():
+            self._recoverable_shards(groups_by_id[gid], lost)
+        # one rebuild per damaged group, handling any <= tolerance mix of
+        # lost members and shards
+        procs = [
+            sim.process(self._recover_group(groups_by_id[gid], lost, report))
+            for gid, lost in lost_by_group.items()
+        ]
+        # groups whose shards are missing anywhere (this crash, or a
+        # re-encode aborted by an earlier overlapping crash) and that
+        # lost no member this time
+        for group in self.layout.groups:
+            if group.group_id in lost_by_group:
+                continue
+            slots = self._lost_shard_slots(group)
+            if slots:
+                procs.append(sim.process(self._reencode_shards(group, report, slots)))
         # all surviving VMs roll back locally
+        lost_set = set(lost_vms)
         for vm_id in self.layout.vm_ids:
             if vm_id not in lost_set:
                 procs.append(sim.process(self._rollback_survivor(vm_id, report)))

@@ -61,6 +61,14 @@ class RaidGroup:
     parity_node: int
     extra_parity_nodes: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        homes = self.parity_nodes
+        if len(set(homes)) != len(homes):
+            raise LayoutError(
+                f"group {self.group_id}: parity shards need distinct nodes, "
+                f"got {self.parity_nodes}"
+            )
+
     @property
     def size(self) -> int:
         return len(self.member_vm_ids)

@@ -29,10 +29,6 @@ from .checkpoint.adaptive import AdaptivePolicy
 from .checkpoint.diskful import DiskfulCheckpointer
 from .checkpoint.strategies import ForkedCapture, IncrementalCapture
 from .core.architectures import checkpoint_node, dvdc, first_shot
-from .core.double_parity import (
-    DoubleParityCheckpointer,
-    build_double_parity_layout,
-)
 from .failures.distributions import Exponential, FailureDistribution
 from .failures.injector import FailureInjector, FailureSchedule
 from .workloads.app import CheckpointedJob, JobResult
@@ -49,8 +45,10 @@ class MethodSpec:
     """One checkpointing configuration to compare.
 
     ``name`` ∈ {dvdc, diskful, dvdc_rdp, checkpoint_node, first_shot}.
+    ``dvdc_rdp`` is DVDC with RDP double parity (``scheme="rdp"``).
     ``incremental`` uses dirty-page capture where the method supports it
-    (dvdc, diskful); ``overlap`` runs the job in latency-hiding mode.
+    (dvdc, dvdc_rdp, diskful); ``overlap`` runs the job in
+    latency-hiding mode.
     ``label`` defaults to a description of the flags.
     """
 
@@ -84,10 +82,10 @@ class MethodSpec:
         if self.name == "diskful":
             return DiskfulCheckpointer(cluster, strategy=strategy)
         if self.name == "dvdc_rdp":
-            layout = build_double_parity_layout(
-                cluster, group_size=max(1, cluster.n_nodes - 2)
+            return dvdc(
+                cluster, group_size=max(1, cluster.n_nodes - 2),
+                strategy=strategy, scheme="rdp",
             )
-            return DoubleParityCheckpointer(cluster, layout)
         if self.name == "checkpoint_node":
             node = cluster.n_nodes - 1
             for vm in list(cluster.vms_on(node)):

@@ -7,16 +7,18 @@ committed image received at encode/commit time
 (:mod:`repro.cluster.checksum`) and, on a mismatch, performs a
 *targeted* repair:
 
-* a corrupt **parity block** is re-encoded from its members' committed
-  images (the XOR the protocol would have produced) and verified
+* a corrupt **parity shard** is re-encoded from its members' committed
+  images (the encode the protocol would have produced) and verified
   bit-exactly against the stored checksum;
 * a corrupt **member image** is rebuilt from the surviving members +
-  parity (the recovery computation pointed at bit-rot instead of a
+  shards (the recovery computation pointed at bit-rot instead of a
   crash) and verified against the image's commit-time checksum.
 
-Artifacts whose redundancy is itself damaged (two corruptions in one
-group) are reported as unrepairable — the caller decides whether to
-force a fresh full checkpoint epoch.
+One path serves every coding scheme; XOR single parity is its
+``m = 1`` case.  Artifacts whose redundancy is itself damaged (more
+corrupt or unavailable artifacts in one group than the scheme's
+tolerance) are reported as unrepairable — the caller decides whether
+to force a fresh full checkpoint epoch.
 
 The scrubber is a *mechanism*: :meth:`Scrubber.scrub_once` is
 instantaneous in simulated time (checksums are memory-speed compared to
@@ -33,8 +35,7 @@ import numpy as np
 
 from ..cluster.checksum import block_checksum
 from ..cluster.cluster import VirtualCluster
-from ..cluster.xorsum import reconstruct_missing_padded, xor_reduce_padded
-from ..coding import XorScheme, get_scheme, shard_key
+from ..coding import get_scheme, shard_key
 from ..core.groups import GroupLayout
 from ..sim import NULL_TRACER, Tracer
 from ..telemetry import probe_of
@@ -74,7 +75,6 @@ class Scrubber:
         self.tracer = tracer
         self.probe = probe_of(tracer)
         self.scheme = get_scheme(scheme)
-        self._is_xor = isinstance(self.scheme, XorScheme)
         self.reports: list[ScrubReport] = []
 
     # ------------------------------------------------------------------
@@ -120,87 +120,8 @@ class Scrubber:
         once, where single-parity XOR could not.
         """
         report = ScrubReport()
-        if not self._is_xor:
-            for group in self.layout.groups:
-                self._scrub_group_scheme(report, group)
-            self.reports.append(report)
-            if report.unrepairable:
-                self.probe.count(
-                    "repro_resilience_corruptions_unrepairable_total",
-                    len(report.unrepairable),
-                    help="Corruptions the scrubber could not repair in place",
-                )
-            return report
         for group in self.layout.groups:
-            pnode = self.cluster.node(group.parity_node)
-            if not pnode.alive:
-                continue
-            block = pnode.parity_store.get(group.group_id)
-            images = self._member_images(group)
-
-            # -- member images first: parity repair assumes clean members
-            bad_members: list[int] = []
-            if images is not None:
-                for v in group.member_vm_ids:
-                    vm = self.cluster.vm(v)
-                    img = self.cluster.hypervisor(vm.node_id).committed(v)
-                    expect = img.meta.get("checksum")
-                    if expect is None:
-                        continue
-                    report.scrubbed += 1
-                    if block_checksum(images[v]) != expect:
-                        self._detect(report, f"image vm{v}@node{vm.node_id}")
-                        bad_members.append(v)
-
-            parity_ok = True
-            if block is not None and block.data is not None and block.checksum is not None:
-                report.scrubbed += 1
-                if block_checksum(block.data) != block.checksum:
-                    parity_ok = False
-                    self._detect(
-                        report, f"parity g{group.group_id}@node{group.parity_node}"
-                    )
-
-            # -- repair
-            if bad_members:
-                if len(bad_members) > 1 or not parity_ok or block is None or block.data is None:
-                    for v in bad_members:
-                        report.unrepairable.append(f"image vm{v}")
-                    if not parity_ok:
-                        report.unrepairable.append(f"parity g{group.group_id}")
-                    continue
-                v = bad_members[0]
-                vm = self.cluster.vm(v)
-                img = self.cluster.hypervisor(vm.node_id).committed(v)
-                survivors = [images[w] for w in group.member_vm_ids if w != v]
-                rebuilt = reconstruct_missing_padded(
-                    survivors, block.data, images[v].shape[0]
-                )
-                if block_checksum(rebuilt) != img.meta["checksum"]:
-                    report.unrepairable.append(f"image vm{v}")
-                    continue
-                images[v][:] = rebuilt
-                self._repaired(report, f"image vm{v}")
-            elif not parity_ok:
-                if images is None:
-                    report.unrepairable.append(f"parity g{group.group_id}")
-                    continue
-                rebuilt = xor_reduce_padded(list(images.values()))
-                if (
-                    rebuilt.shape[0] > block.data.shape[0]
-                    or block_checksum(
-                        np.pad(rebuilt, (0, block.data.shape[0] - rebuilt.shape[0]))
-                        if rebuilt.shape[0] < block.data.shape[0]
-                        else rebuilt
-                    )
-                    != block.checksum
-                ):
-                    report.unrepairable.append(f"parity g{group.group_id}")
-                    continue
-                block.data[: rebuilt.shape[0]] = rebuilt
-                block.data[rebuilt.shape[0]:] = 0
-                self._repaired(report, f"parity g{group.group_id}")
-
+            self._scrub_group(report, group)
         self.reports.append(report)
         if report.unrepairable:
             self.probe.count(
@@ -210,8 +131,13 @@ class Scrubber:
             )
         return report
 
-    def _scrub_group_scheme(self, report: ScrubReport, group) -> None:
-        """Verify-and-repair one group under a multi-shard scheme."""
+    def _shard_label(self, j: int, gid: int) -> str:
+        """``parity g<gid>`` under single parity, ``shard<j> g<gid>``
+        when the scheme stores several shards."""
+        return f"parity g{gid}" if self.scheme.n_shards == 1 else f"shard{j} g{gid}"
+
+    def _scrub_group(self, report: ScrubReport, group) -> None:
+        """Verify-and-repair one group."""
         gid = group.group_id
         blocks = []  # (shard index, home node id, block or None)
         for j, pnode_id in enumerate(group.parity_nodes):
@@ -241,10 +167,16 @@ class Scrubber:
                 continue
             report.scrubbed += 1
             if block_checksum(block.data) != block.checksum:
-                self._detect(report, f"shard{j} g{gid}@node{pnode_id}")
+                self._detect(report, f"{self._shard_label(j, gid)}@node{pnode_id}")
                 bad_shards.append(j)
         if not bad_members and not bad_shards:
             return
+
+        def unrepairable() -> None:
+            for v in bad_members:
+                report.unrepairable.append(f"image vm{v}")
+            for j in bad_shards:
+                report.unrepairable.append(self._shard_label(j, gid))
 
         # -- classify: corrupt + unavailable artifacts are erasures
         erasures = len(bad_members) + len(bad_shards) + len(gone_shards)
@@ -259,10 +191,7 @@ class Scrubber:
         if images is None or (
             erasures > self.scheme.tolerance and not replica_rescue
         ):
-            for v in bad_members:
-                report.unrepairable.append(f"image vm{v}")
-            for j in bad_shards:
-                report.unrepairable.append(f"shard{j} g{gid}")
+            unrepairable()
             return
 
         # -- repair: decode with corrupt artifacts marked lost
@@ -276,10 +205,7 @@ class Scrubber:
         try:
             rebuilt = self.scheme.reconstruct(mem, shd, nbytes=length)
         except Exception:
-            for v in bad_members:
-                report.unrepairable.append(f"image vm{v}")
-            for j in bad_shards:
-                report.unrepairable.append(f"shard{j} g{gid}")
+            unrepairable()
             return
         members_clean = True
         for v in bad_members:
@@ -298,7 +224,7 @@ class Scrubber:
         if not members_clean:
             # can't re-encode from members that failed verification
             for j in bad_shards:
-                report.unrepairable.append(f"shard{j} g{gid}")
+                report.unrepairable.append(self._shard_label(j, gid))
             return
         fresh = self.scheme.encode([images[v] for v in member_ids])
         for j in bad_shards:
@@ -308,10 +234,10 @@ class Scrubber:
                 candidate.shape[0] != block.data.shape[0]
                 or block_checksum(candidate) != block.checksum
             ):
-                report.unrepairable.append(f"shard{j} g{gid}")
+                report.unrepairable.append(self._shard_label(j, gid))
                 continue
             block.data[:] = candidate
-            self._repaired(report, f"shard{j} g{gid}")
+            self._repaired(report, self._shard_label(j, gid))
 
     def run(self, interval: float):
         """Process generator: scrub every ``interval`` seconds, forever.

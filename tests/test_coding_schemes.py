@@ -33,7 +33,7 @@ from repro.coding import (
 from repro.coding import schemes as schemes_mod
 from repro.core import dvdc
 from repro.core.groups import build_orthogonal_layout, layout_dvdc
-from repro.core.parity import ParityCodeError
+from repro.coding import ParityCodeError
 from repro.core.placement import validate_layout
 from repro.resilience import Scrubber
 from repro.sim import Simulator

@@ -1,18 +1,16 @@
-"""Tests for the RDP double-parity extension of DVDC."""
+"""Tests for RDP double parity — the Section II-B2 extension of DVDC —
+run through the one protocol path as ``dvdc(..., scheme="rdp")``."""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from repro.audit import FaultSpec, FuzzConfig, run_trial
+from repro.audit import fuzzer as fuzzer_mod
 from repro.cluster import ClusterSpec, VirtualCluster, VMState
-from repro.core import (
-    DoubleParityCheckpointer,
-    DoubleParityGroup,
-    DoubleParityLayout,
-    LayoutError,
-    build_double_parity_layout,
-)
+from repro.coding import shard_key
+from repro.core import GroupLayout, LayoutError, RaidGroup, dvdc
 from repro.sim import Simulator
 
 from conftest import run_process
@@ -28,37 +26,42 @@ def _cluster(n_nodes=6, vms=12, seed=4):
     return sim, cluster, rng
 
 
+def _rdp(cluster):
+    return dvdc(cluster, group_size=3, scheme="rdp")
+
+
 class TestLayout:
     def test_parity_nodes_distinct_and_off_members(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, group_size=3)
+        layout = _rdp(cluster).layout
         for g in layout.groups:
             member_nodes = {cluster.vm(v).node_id for v in g.member_vm_ids}
-            assert g.row_parity_node not in member_nodes
-            assert g.diag_parity_node not in member_nodes
-            assert g.row_parity_node != g.diag_parity_node
+            row, diag = g.parity_nodes
+            assert row not in member_nodes
+            assert diag not in member_nodes
+            assert row != diag
 
     def test_needs_group_size_plus_two_nodes(self):
         sim, cluster, _ = _cluster(n_nodes=4, vms=8)
         with pytest.raises(LayoutError):
-            build_double_parity_layout(cluster, group_size=3)
+            _rdp(cluster)
 
     def test_all_vms_covered(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
+        layout = _rdp(cluster).layout
         assert layout.vm_ids == list(range(12))
 
     def test_group_validation(self):
         with pytest.raises(LayoutError):
-            DoubleParityGroup(0, (1, 2), 3, 3)  # same parity node twice
+            RaidGroup(0, (1, 2), 3, (3,))  # same parity node twice
         with pytest.raises(LayoutError):
-            DoubleParityLayout([
-                DoubleParityGroup(0, (1,), 2, 3),
-                DoubleParityGroup(1, (1,), 4, 5),
+            GroupLayout([
+                RaidGroup(0, (1,), 2, (3,)),
+                RaidGroup(1, (1,), 4, (5,)),
             ])
 
     def test_group_of(self):
-        layout = DoubleParityLayout([DoubleParityGroup(0, (7,), 1, 2)])
+        layout = GroupLayout([RaidGroup(0, (7,), 1, (2,))])
         assert layout.group_of(7).group_id == 0
         with pytest.raises(LayoutError):
             layout.group_of(99)
@@ -67,29 +70,20 @@ class TestLayout:
 class TestCycle:
     def test_cycle_stores_both_shards(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _rdp(cluster)
 
-        def proc():
-            r = yield from ck.run_cycle()
-            return r
-
-        r = run_process(sim, proc())
+        r = run_process(sim, ck.run_cycle())
         assert r.committed
-        for g in layout.groups:
-            assert g.group_id in cluster.node(g.row_parity_node).parity_store
-            assert -(g.group_id + 1) in cluster.node(g.diag_parity_node).parity_store
+        for g in ck.layout.groups:
+            row, diag = g.parity_nodes
+            assert g.group_id in cluster.node(row).parity_store
+            assert shard_key(g.group_id, 1) in cluster.node(diag).parity_store
 
     def test_traffic_double_single_parity(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _rdp(cluster)
 
-        def proc():
-            r = yield from ck.run_cycle()
-            return r
-
-        r = run_process(sim, proc())
+        r = run_process(sim, ck.run_cycle())
         # each of 12 x 1 GB images ships to two parity nodes
         assert r.network_bytes == pytest.approx(24e9)
 
@@ -97,15 +91,10 @@ class TestCycle:
         from repro.cluster import xor_reduce
 
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
-
-        def proc():
-            yield from ck.run_cycle()
-
-        run_process(sim, proc())
-        g = layout.groups[0]
-        row = cluster.node(g.row_parity_node).parity_store[g.group_id]
+        ck = _rdp(cluster)
+        run_process(sim, ck.run_cycle())
+        g = ck.layout.groups[0]
+        row = cluster.node(g.parity_node).parity_store[g.group_id]
         payloads = [
             cluster.hypervisor(cluster.vm(v).node_id).committed(v).payload_flat()
             for v in g.member_vm_ids
@@ -135,18 +124,13 @@ class TestDoubleFailureRecovery:
         """The RDP promise: ANY two simultaneous node failures are
         survivable — exhaustively over all 15 node pairs."""
         sim, cluster, rng = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _rdp(cluster)
         committed = self._checkpoint(sim, cluster, ck, rng)
         a, b = pair
         cluster.kill_node(a)
         cluster.kill_node(b)
 
-        def proc():
-            rep = yield from ck.recover(a, b)
-            return rep
-
-        run_process(sim, proc())
+        run_process(sim, ck.recover(a))
         for vm in cluster.all_vms:
             assert vm.state == VMState.RUNNING
             assert np.array_equal(vm.image.flat, committed[vm.vm_id]), (
@@ -155,41 +139,31 @@ class TestDoubleFailureRecovery:
 
     def test_single_failure_also_fine(self):
         sim, cluster, rng = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _rdp(cluster)
         committed = self._checkpoint(sim, cluster, ck, rng)
         cluster.kill_node(2)
 
-        def proc():
-            rep = yield from ck.recover(2)
-            return rep
-
-        rep = run_process(sim, proc())
+        run_process(sim, ck.recover(2))
         for vm in cluster.all_vms:
             assert np.array_equal(vm.image.flat, committed[vm.vm_id])
 
     def test_recover_before_checkpoint_raises(self):
         sim, cluster, _ = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _rdp(cluster)
         cluster.kill_node(0)
 
-        def proc():
-            yield from ck.recover(0)
-
         with pytest.raises(RuntimeError):
-            run_process(sim, proc())
+            run_process(sim, ck.recover(0))
 
     def test_post_recovery_cycle_consistent(self):
         sim, cluster, rng = _cluster()
-        layout = build_double_parity_layout(cluster, 3)
-        ck = DoubleParityCheckpointer(cluster, layout)
+        ck = _rdp(cluster)
         self._checkpoint(sim, cluster, ck, rng)
         cluster.kill_node(0)
         cluster.kill_node(3)
 
         def proc():
-            yield from ck.recover(0, 3)
+            yield from ck.recover(0)
             for vm in cluster.all_vms:
                 vm.image.touch_pages(rng.integers(0, 16, 2), rng)
             r = yield from ck.run_cycle()
@@ -199,5 +173,37 @@ class TestDoubleFailureRecovery:
         assert r.committed
         # both shards for every group live on alive nodes again
         for g in ck.layout.groups:
-            assert cluster.node(g.row_parity_node).alive
-            assert cluster.node(g.diag_parity_node).alive
+            row, diag = g.parity_nodes
+            assert cluster.node(row).alive
+            assert cluster.node(diag).alive
+
+
+class TestBeyondXorTolerance:
+    """The same double crash that RDP absorbs is fate under XOR."""
+
+    def _double_loss(self):
+        sim, cluster, rng = _cluster()
+        ck = dvdc(cluster, group_size=3)
+        run_process(sim, ck.run_cycle())
+        g = ck.layout.groups[0]
+        a, b = (cluster.vm(v).node_id for v in g.member_vm_ids[:2])
+        cluster.kill_node(a)
+        cluster.kill_node(b)
+        with pytest.raises(RuntimeError) as info:
+            run_process(sim, ck.recover(a))
+        return str(info.value)
+
+    def test_double_loss_in_one_group_raises_beyond_tolerance(self):
+        assert "— beyond xor tolerance 1" in self._double_loss()
+
+    def test_fuzzer_classifies_it_as_fate(self):
+        message = self._double_loss()
+        assert any(m in message for m in fuzzer_mod._UNRECOVERABLE_MARKERS)
+        config = FuzzConfig(n_cycles=3, scheme="xor")
+        schedule = (
+            FaultSpec(cycle=1, phase="idle", node=1, frac=0.4),
+            FaultSpec(cycle=1, phase="idle", node=2, frac=0.45),
+        )
+        trial = run_trial(config, schedule, seed=0)
+        assert "— beyond xor tolerance 1" in trial.unrecoverable
+        assert not trial.failed

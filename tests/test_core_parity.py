@@ -1,11 +1,15 @@
-"""Tests for the XOR and RDP erasure codecs — exhaustive erasure patterns."""
+"""Tests for the XOR and RDP erasure codecs — exhaustive erasure patterns.
+
+The XOR single-parity code is :class:`repro.coding.XorScheme` (the m = 1
+case of the one coding path); RDP is :class:`repro.coding.RDPCode`.
+"""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from repro.core import ParityCodeError, RDPCode, XorCode, smallest_prime_at_least
+from repro.coding import ParityCodeError, RDPCode, XorScheme, smallest_prime_at_least
 
 
 def _members(rng, k, nbytes):
@@ -15,13 +19,13 @@ def _members(rng, k, nbytes):
 class TestXorCode:
     def test_encode_is_xor(self, rng):
         members = _members(rng, 3, 100)
-        [parity] = XorCode().encode(members)
+        [parity] = XorScheme().encode(members)
         expected = members[0] ^ members[1] ^ members[2]
         assert np.array_equal(parity, expected)
 
     def test_any_single_member_recoverable(self, rng):
         members = _members(rng, 4, 257)
-        code = XorCode()
+        code = XorScheme()
         [parity] = code.encode(members)
         for lost in range(4):
             shards = [m if i != lost else None for i, m in enumerate(members)]
@@ -31,7 +35,7 @@ class TestXorCode:
 
     def test_no_loss_passthrough_copies(self, rng):
         members = _members(rng, 2, 64)
-        code = XorCode()
+        code = XorScheme()
         [parity] = code.encode(members)
         out = code.reconstruct(members, [parity])
         assert np.array_equal(out[0], members[0])
@@ -40,24 +44,30 @@ class TestXorCode:
 
     def test_two_missing_rejected(self, rng):
         members = _members(rng, 3, 64)
-        code = XorCode()
+        code = XorScheme()
         [parity] = code.encode(members)
         with pytest.raises(ParityCodeError):
             code.reconstruct([None, None, members[2]], [parity])
 
     def test_member_and_parity_missing_rejected(self, rng):
         members = _members(rng, 3, 64)
-        code = XorCode()
+        code = XorScheme()
         with pytest.raises(ParityCodeError):
             code.reconstruct([None, members[1], members[2]], [None])
 
-    def test_unequal_lengths_rejected(self, rng):
-        with pytest.raises(ParityCodeError):
-            XorCode().encode([np.zeros(4, np.uint8), np.zeros(6, np.uint8)])
+    def test_unequal_lengths_zero_padded(self, rng):
+        short, long = _members(rng, 1, 4)[0], _members(rng, 1, 6)[0]
+        code = XorScheme()
+        [parity] = code.encode([short, long])
+        assert np.array_equal(parity[:4], short ^ long[:4])
+        assert np.array_equal(parity[4:], long[4:])
+        out = code.reconstruct([None, long], [parity])
+        assert np.array_equal(out[0][:4], short)
+        assert not out[0][4:].any()
 
     def test_empty_rejected(self):
         with pytest.raises(ParityCodeError):
-            XorCode().encode([])
+            XorScheme().encode([])
 
 
 class TestPrimes:
@@ -146,5 +156,5 @@ class TestRDPCode:
         k, nbytes = 3, 96  # divisible by rows (p=5 -> rows=4): no padding
         members = _members(rng, k, nbytes)
         rp, _ = RDPCode(k).encode(members)
-        [xp] = XorCode().encode(members)
+        [xp] = XorScheme().encode(members)
         assert np.array_equal(rp[:nbytes], xp)

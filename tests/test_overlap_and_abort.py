@@ -228,7 +228,7 @@ class TestFlowTeardown:
 
     def test_rdp_cycle_abort_guard(self):
         from repro.cluster import ClusterSpec, VirtualCluster
-        from repro.core import DoubleParityCheckpointer, build_double_parity_layout
+        from repro.core import dvdc
         from repro.sim import Simulator
 
         sim = Simulator()
@@ -237,7 +237,7 @@ class TestFlowTeardown:
         for vm in cluster.create_vms_balanced(12, 1e9, image_pages=16, page_size=64):
             vm.image.write(0, rng.integers(0, 256, 512, dtype=np.uint8))
             vm.image.clear_dirty()
-        ck = DoubleParityCheckpointer(cluster, build_double_parity_layout(cluster, 3))
+        ck = dvdc(cluster, group_size=3, scheme="rdp")
 
         def proc():
             yield from ck.run_cycle()

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, MemoryImage, VirtualCluster, xor_reduce
-from repro.core import RDPCode, XorCode, build_orthogonal_layout, validate_layout
+from repro.coding import RDPCode, XorScheme
+from repro.core import build_orthogonal_layout, validate_layout
 from repro.model import (
     expected_time_checkpointed,
     expected_time_no_checkpoint,
@@ -29,13 +30,13 @@ class TestXorAlgebra:
     @given(buffers(3))
     def test_parity_xor_members_is_zero(self, bufs):
         members = [np.frombuffer(b, dtype=np.uint8) for b in bufs]
-        [parity] = XorCode().encode(members)
+        [parity] = XorScheme().encode(members)
         assert not xor_reduce(members + [parity]).any()
 
     @given(buffers(4), st.integers(min_value=0, max_value=3))
     def test_any_member_recoverable(self, bufs, lost):
         members = [np.frombuffer(b, dtype=np.uint8) for b in bufs]
-        code = XorCode()
+        code = XorScheme()
         [parity] = code.encode(members)
         shards = [m if i != lost else None for i, m in enumerate(members)]
         out = code.reconstruct(shards, [parity])
@@ -71,7 +72,7 @@ class TestRDPProperties:
         nbytes = (code.p - 1) * 8  # no padding
         members = [rng.integers(0, 256, nbytes, dtype=np.uint8) for _ in range(k)]
         rp, _ = code.encode(members)
-        [xp] = XorCode().encode(members)
+        [xp] = XorScheme().encode(members)
         assert np.array_equal(rp, xp)
 
 

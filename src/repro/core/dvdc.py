@@ -579,7 +579,6 @@ class DisklessCheckpointer:
             self.auditor.post_cycle(self, result)
         return result
 
-
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------

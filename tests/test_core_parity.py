@@ -17,6 +17,8 @@ def _members(rng, k, nbytes):
 
 
 class TestXorCode:
+    """The XOR single-parity code, as :class:`XorScheme` implements it."""
+
     def test_encode_is_xor(self, rng):
         members = _members(rng, 3, 100)
         [parity] = XorScheme().encode(members)

@@ -321,7 +321,7 @@ class ControlPlane:
                 except RuntimeError as exc:
                     ok, error = False, str(exc)
                     # last resort, once the pileup has drained: a loss
-                    # beyond single-parity tolerance cannot be rebuilt,
+                    # beyond the scheme's tolerance cannot be rebuilt,
                     # so declare the VMs lost and reprovision them
                     if not self._recovery_queue and self._can_salvage():
                         ok, error = yield from self._salvage(error)
